@@ -1,32 +1,39 @@
 """Seeded Monte Carlo contention experiments against the cache models.
 
-Three scripted experiments, each repeated over independent trials with
-per-trial derived seeds (base seed + trial index):
+One trial driver, ``_run_trials``, runs every experiment.  It holds the
+skeleton the three kinds share: build the cache; then per trial reseed
+it with base seed + trial index, draw the victim's activity coin
+(``victim_access_probability``, so false positives are measurable),
+flush, play the kind's protocol, tally the outcome into exactly one of
+tp/fp/fn/tn, and keep the optional trial row; finally build the report.
+Trials are independent and may be distributed across processes by
+splitting the trial range.
 
-* baseline prime-probe: on a conventional cache the adversary fills one
-  set, lets the victim run, and re-touches its lines; any miss reveals
-  the victim touched that set.
-* skewed-cache prime-probe: the same attack against the skewed cache.
-  The adversary's primed set crosses each victim set in exactly one
-  cell, so a victim fill only lands on a primed line when its random
-  replacement picks that one way.  The probe stops at the first miss:
-  a missing line's refill evicts a random candidate, and probing past
-  it would let that refill knock out lines not yet probed, smearing
-  both the miss count and the way attribution with replacement noise
-  that carries no victim information.
-* two-domain collusion: the prober fills the whole cache, the squeezer
-  then reclaims all but one of its own sets, leaving the prober exactly
-  one resident line per set (the cells of the squeezer's untouched
-  set).  A victim access evicts one of those survivors with probability
-  1/ways, and the survivor's cell pins down the victim's set index
-  exactly.  The prober probes each of its sets survivor-way first, for
-  the same refill-disturbance reason as above; scheduling is fully
-  synchronous and adversary-favorable, and the colluders know the
-  public layout and each other's address choices.
+Each kind supplies only its protocol steps:
 
-Victim activity is gated by ``victim_access_probability`` so false
-positives are measurable; trials are independent and may be distributed
-across processes by splitting the trial range.
+* baseline prime-probe (conventional cache): the adversary primes one
+  set; the victim, when active, touches that set; the adversary
+  re-touches its lines, and any miss reveals the victim's set.
+* skewed-cache prime-probe: the adversary primes one of its sets; the
+  victim warms the other ways of its target set and, when active, fills
+  a fresh line there; the adversary probes its lines in way order.  The
+  primed set crosses each victim set in exactly one cell, so a victim
+  fill only lands on a primed line when its random replacement picks
+  that one way.  The probe stops at the first miss: a missing line's
+  refill evicts a random candidate, and probing past it would let that
+  refill knock out lines not yet probed, smearing both the miss count
+  and the way attribution with replacement noise that carries no victim
+  information.
+* two-domain collusion: the prober fills the whole cache; the squeezer
+  reclaims all but one of its own sets, leaving the prober exactly one
+  resident line per set (the cells of the squeezer's untouched set);
+  the victim, when active, fills a fresh line in its target set; the
+  prober probes each of its sets survivor-way first, for the same
+  refill-disturbance reason as above.  A victim access evicts one
+  survivor with probability 1/ways, and the survivor's cell pins down
+  the victim's set index exactly.  Scheduling is fully synchronous and
+  adversary-favorable, and the colluders know the public layout and
+  each other's address choices.
 """
 
 from __future__ import annotations
@@ -43,7 +50,6 @@ KINDS = ("baseline_pp", "galois_pp", "collusion")
 
 _WARM_TAG_BASE = 0x10000
 _TARGET_TAG = 0x2FFFF
-_NOISE_TAG_BASE = 0x40000
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -72,10 +78,6 @@ class AttackScenario:
     adversary_prime_set: Optional[int] = None
     #: collusion: squeezer set left unfilled; defaults to the highest index
     squeezer_skip_set: Optional[int] = None
-    #: optional background domain that streams fresh lines into uniformly
-    #: random sets between protocol steps; off unless a domain is named
-    noise_domain: Optional[int] = None
-    noise_accesses: int = 0
     record_trials: bool = False
 
     def __post_init__(self):
@@ -85,11 +87,7 @@ class AttackScenario:
             raise ValueError("trials must be nonnegative")
         if not 0.0 <= self.victim_access_probability <= 1.0:
             raise ValueError("victim_access_probability must be in [0, 1]")
-        if self.noise_accesses < 0:
-            raise ValueError("noise_accesses must be nonnegative")
         domains = (self.victim_domain, *self.adversary_domains)
-        if self.noise_domain is not None:
-            domains = (*domains, self.noise_domain)
         if len(set(domains)) != len(domains):
             raise ValueError("participant domains must be distinct")
         if self.kind == "baseline_pp":
@@ -160,25 +158,6 @@ class DetectionReport:
         return out
 
 
-def _finish_report(kind, sc, tp, fp, fn, tn, definition, cache, **extras):
-    detected = tp + fp
-    lo, hi = wilson_interval(detected, sc.trials)
-    return DetectionReport(
-        kind=kind,
-        trials=sc.trials,
-        true_positives=tp,
-        false_positives=fp,
-        false_negatives=fn,
-        true_negatives=tn,
-        detection_rate=detected / sc.trials if sc.trials else 0.0,
-        ci_low=lo,
-        ci_high=hi,
-        detection_definition=definition,
-        domain_stats=cache.stats(),
-        **extras,
-    )
-
-
 def _trial_active(rng: random.Random, probability: float) -> bool:
     # the coin is only drawn for fractional probabilities, so p=1.0 and
     # p=0.0 runs consume the identical random stream as each other
@@ -189,21 +168,50 @@ def _trial_active(rng: random.Random, probability: float) -> bool:
     return rng.random() < probability
 
 
-def _noise_burst(cache, cfg, domain: Optional[int], count: int, next_tag: int) -> int:
-    """Stream `count` fresh lines into uniformly random sets.
+def _run_trials(sc: AttackScenario, protocol, definition: str, **extras) -> DetectionReport:
+    """Run the scenario's trials of one protocol and report the tally.
 
-    Tags increase monotonically so the burst never hits, modelling an
-    unrelated busy process.  Draws come from the cache's own generator,
-    keeping trials replayable.
+    ``protocol(cache, active)`` plays one trial on the freshly flushed
+    cache and returns ``(detected, correct, row_fields)``: ``correct``
+    says the inference names the victim's set (it equals ``detected``
+    for the prime-probe kinds), and ``row_fields`` extend the trial row.
+    Each trial adds to exactly one confusion cell.
     """
-    if domain is None or count == 0:
-        return next_tag
-    rng = cache.rng
-    sets = cfg.num_sets
-    for _ in range(count):
-        cache.access(domain, compose_address(cfg, rng.randrange(sets), next_tag))
-        next_tag += 1
-    return next_tag
+    cache = build_cache(sc.cache, sc.seed)
+    tp = fp = fn = tn = 0
+    rows = [] if sc.record_trials else None
+    for trial in range(sc.trials):
+        cache.reseed(sc.seed + trial)
+        active = _trial_active(cache.rng, sc.victim_access_probability)
+        cache.flush()
+        detected, correct, row_fields = protocol(cache, active)
+        if active and correct:
+            tp += 1
+        elif detected:
+            fp += 1
+        elif active:
+            fn += 1
+        else:
+            tn += 1
+        if rows is not None:
+            rows.append({"trial": trial, "active": active, "detected": detected,
+                         **row_fields})
+    lo, hi = wilson_interval(tp + fp, sc.trials)
+    return DetectionReport(
+        kind=sc.kind,
+        trials=sc.trials,
+        true_positives=tp,
+        false_positives=fp,
+        false_negatives=fn,
+        true_negatives=tn,
+        detection_rate=(tp + fp) / sc.trials if sc.trials else 0.0,
+        ci_low=lo,
+        ci_high=hi,
+        detection_definition=definition,
+        domain_stats=cache.stats(),
+        trial_rows=rows,
+        **extras,
+    )
 
 
 def fill_domain_set(cache, domain: int, addrs, max_rounds: int = 4096) -> int:
@@ -232,58 +240,35 @@ def run_baseline_prime_probe(sc: AttackScenario) -> DetectionReport:
     if sc.kind != "baseline_pp":
         raise ValueError(f"scenario kind {sc.kind!r} is not baseline_pp")
     cfg = sc.cache
-    cache = build_cache(cfg, sc.seed)
     adv = sc.adversary_domains[0]
     primed_set = (
         sc.adversary_prime_set if sc.adversary_prime_set is not None else sc.victim_target_set
     )
     prime_addrs = [compose_address(cfg, primed_set, tag) for tag in range(cfg.num_ways)]
     victim_addr = compose_address(cfg, sc.victim_target_set, _TARGET_TAG)
-    tp = fp = fn = tn = 0
-    rows = [] if sc.record_trials else None
-    for trial in range(sc.trials):
-        cache.reseed(sc.seed + trial)
-        active = _trial_active(cache.rng, sc.victim_access_probability)
-        cache.flush()
+
+    def trial(cache, active):
         for a in prime_addrs:
             cache.access(adv, a)
-        noise_tag = _noise_burst(cache, cfg, sc.noise_domain, sc.noise_accesses,
-                                 _NOISE_TAG_BASE)
         if active:
             cache.access(sc.victim_domain, victim_addr)
-        _noise_burst(cache, cfg, sc.noise_domain, sc.noise_accesses, noise_tag)
         detected = any(not ob.hit for ob in cache.observe_probe(adv, prime_addrs))
-        if active:
-            tp += detected
-            fn += not detected
-        else:
-            fp += detected
-            tn += not detected
-        if rows is not None:
-            rows.append({"trial": trial, "active": active, "detected": detected})
-    return _finish_report(
-        "baseline_pp", sc, tp, fp, fn, tn,
-        "at least one miss while re-accessing the primed set",
-        cache, trial_rows=rows,
-    )
+        return detected, detected, {}
+
+    return _run_trials(sc, trial, "at least one miss while re-accessing the primed set")
 
 
 def run_galois_prime_probe(sc: AttackScenario) -> DetectionReport:
-    """Prime-probe against the skewed cache.
+    """Prime-probe against the skewed cache (protocol in the module docstring).
 
-    Per trial: flush; the adversary primes one of its own sets; the
-    victim touches the other ways of its target set (the ordinary
-    warm-cache state, and without it the victim's fill would land in an
-    empty way and never contend); when active, the victim then fills a
-    fresh line in its target set; the adversary re-accesses its primed
-    lines in way order, stopping at the first miss.
+    The victim first touches the other ways of its target set: that is
+    the ordinary warm-cache state, and without it the victim's fill
+    would land in an empty way and never contend.
     """
     if sc.kind != "galois_pp":
         raise ValueError(f"scenario kind {sc.kind!r} is not galois_pp")
     cfg = sc.cache
-    sp = cfg.skew
-    m = sp.field.order
-    cache = build_cache(cfg, sc.seed)
+    m = cfg.skew.field.order
     adv = sc.adversary_domains[0]
     vic = sc.victim_domain
     primed_set = sc.adversary_prime_set if sc.adversary_prime_set is not None else 0
@@ -294,66 +279,43 @@ def run_galois_prime_probe(sc: AttackScenario) -> DetectionReport:
     ]
     target_addr = compose_address(cfg, sc.victim_target_set, _TARGET_TAG)
     way_miss_counts = [0] * m
-    tp = fp = fn = tn = 0
-    rows = [] if sc.record_trials else None
-    for trial in range(sc.trials):
-        cache.reseed(sc.seed + trial)
-        active = _trial_active(cache.rng, sc.victim_access_probability)
-        cache.flush()
+
+    def trial(cache, active):
         for a in prime_addrs:
             cache.access(adv, a)
-        noise_tag = _noise_burst(cache, cfg, sc.noise_domain, sc.noise_accesses,
-                                 _NOISE_TAG_BASE)
         for a in warm_addrs:
             cache.access(vic, a)
         if active:
             cache.access(vic, target_addr)
-        _noise_burst(cache, cfg, sc.noise_domain, sc.noise_accesses, noise_tag)
         missed_way = -1
         for w, a in enumerate(prime_addrs):
             if not cache.probe_one(adv, a):
                 missed_way = w
+                way_miss_counts[w] += 1
                 break
         detected = missed_way >= 0
-        if detected:
-            way_miss_counts[missed_way] += 1
-        if active:
-            tp += detected
-            fn += not detected
-        else:
-            fp += detected
-            tn += not detected
-        if rows is not None:
-            rows.append(
-                {"trial": trial, "active": active, "detected": detected,
-                 "missed_way": missed_way}
-            )
-    return _finish_report(
-        "galois_pp", sc, tp, fp, fn, tn,
+        return detected, detected, {"missed_way": missed_way}
+
+    return _run_trials(
+        sc, trial,
         "at least one miss while re-accessing the primed set "
         "(probe stops at the first miss)",
-        cache, way_miss_counts=way_miss_counts, trial_rows=rows,
+        way_miss_counts=way_miss_counts,
     )
 
 
 def run_collusion_attack(sc: AttackScenario) -> DetectionReport:
-    """Two colluding domains localize a single victim access.
+    """Two colluding domains, adversary_domains = (prober, squeezer),
+    localize a single victim access (protocol in the module docstring).
 
-    adversary_domains = (prober, squeezer).  Per trial: flush; the
-    prober fills every one of its sets; the squeezer fills all of its
-    own sets except one, which deterministically leaves the prober one
-    surviving line per set; the victim (when active) fills a fresh line
-    in its target set; the prober probes the whole cache set by set,
-    survivor way first.  A set showing misses in all ways means its
-    survivor was evicted, and that survivor's cell lies on exactly one
-    victim set, which is reported as the inference.
+    A prober set missing in every way lost its survivor, whose cell lies
+    on exactly one victim set; that set is reported as the inference.
     """
     if sc.kind != "collusion":
         raise ValueError(f"scenario kind {sc.kind!r} is not collusion")
     cfg = sc.cache
     sp = cfg.skew
     m = sp.field.order
-    cache = build_cache(cfg, sc.seed)
     prober, squeezer = sc.adversary_domains
     vic = sc.victim_domain
     skip_set = sc.squeezer_skip_set if sc.squeezer_skip_set is not None else m - 1
@@ -362,9 +324,8 @@ def run_collusion_attack(sc: AttackScenario) -> DetectionReport:
     ]
     squeeze_addrs = [
         [compose_address(cfg, s, _WARM_TAG_BASE + tag) for tag in range(m)]
-        for s in range(m)
+        for s in range(m) if s != skip_set
     ]
-    squeeze_sets = [s for s in range(m) if s != skip_set]
     target_addr = compose_address(cfg, sc.victim_target_set, _TARGET_TAG)
     # Where each prober set's survivor sits (its crossing with the
     # squeezer's untouched set), and which victim set runs through that
@@ -377,26 +338,17 @@ def run_collusion_attack(sc: AttackScenario) -> DetectionReport:
         for s in range(m)
     ]
     confusion = [[0] * m for _ in range(m)]
-    tp = fp = fn = tn = 0
-    rows = [] if sc.record_trials else None
-    access = cache.access
-    probe = cache.probe_one
-    for trial in range(sc.trials):
-        cache.reseed(sc.seed + trial)
-        active = _trial_active(cache.rng, sc.victim_access_probability)
-        cache.flush()
-        for s in range(m):
-            for a in prime_addrs[s]:
+
+    def trial(cache, active):
+        access = cache.access
+        probe = cache.probe_one
+        for group in prime_addrs:
+            for a in group:
                 access(prober, a)
-        noise_tag = _noise_burst(cache, cfg, sc.noise_domain, sc.noise_accesses,
-                                 _NOISE_TAG_BASE)
-        for s in squeeze_sets:
-            fill_domain_set(cache, squeezer, squeeze_addrs[s])
-        noise_tag = _noise_burst(cache, cfg, sc.noise_domain, sc.noise_accesses,
-                                 noise_tag)
+        for group in squeeze_addrs:
+            fill_domain_set(cache, squeezer, group)
         if active:
             access(vic, target_addr)
-        _noise_burst(cache, cfg, sc.noise_domain, sc.noise_accesses, noise_tag)
         fired_set = -1
         for s in range(m):
             group = prime_addrs[s]
@@ -407,28 +359,17 @@ def run_collusion_attack(sc: AttackScenario) -> DetectionReport:
                     misses += 1
             if misses == m and fired_set < 0:
                 fired_set = s
-        detected = fired_set >= 0
-        inferred = inferred_for[fired_set] if detected else -1
-        if detected:
-            confusion[sc.victim_target_set][inferred] += 1
-        correct = detected and inferred == sc.victim_target_set
-        if active:
-            tp += correct
-            fn += not correct
-            fp += detected and not correct
-        else:
-            fp += detected
-            tn += not detected
-        if rows is not None:
-            rows.append(
-                {"trial": trial, "active": active, "detected": detected,
-                 "inferred_set": inferred}
-            )
-    return _finish_report(
-        "collusion", sc, tp, fp, fn, tn,
+        if fired_set < 0:
+            return False, False, {"inferred_set": -1}
+        inferred = inferred_for[fired_set]
+        confusion[sc.victim_target_set][inferred] += 1
+        return True, inferred == sc.victim_target_set, {"inferred_set": inferred}
+
+    return _run_trials(
+        sc, trial,
         "some prober set misses in every way and its surviving cell maps to "
         "the true victim set",
-        cache, per_set_confusion=confusion, trial_rows=rows,
+        per_set_confusion=confusion,
     )
 
 
@@ -473,13 +414,19 @@ def sweep_detection_vs_field(
     seed: int = 0,
     victim_access_probability: float = 1.0,
 ) -> list[dict]:
-    """One detection-rate row per GF(2^n) field; empty when trials == 0."""
+    """One detection-rate row per GF(2^n) field; empty when trials == 0.
+
+    An empty ``n_range`` is rejected, so a reversed range cannot pass
+    for a successful sweep.
+    """
     from .cache import galois_config
     from .field import FieldSpec
     from .skew import SkewParams
 
     if kind not in ("galois_pp", "collusion"):
         raise ValueError(f"sweep supports galois_pp or collusion, got {kind!r}")
+    if not n_range:
+        raise ValueError(f"empty sweep range {n_range!r}: n_min exceeds n_max")
     rows: list[dict] = []
     if trials == 0:
         return rows

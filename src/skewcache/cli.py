@@ -213,8 +213,6 @@ ATTACK_DEFAULTS = {
     "prime_set": None,
     "skip_set": None,
     "victim_prob": 1.0,
-    "noise_domain": None,
-    "noise_accesses": 0,
     "sets": 4,
     "ways": 4,
     "replacement": "lru",
@@ -247,8 +245,6 @@ def _attack_scenario(which: str, cfg: dict, record_trials: bool) -> AttackScenar
         victim_access_probability=cfg["victim_prob"],
         adversary_prime_set=cfg["prime_set"],
         squeezer_skip_set=cfg["skip_set"],
-        noise_domain=cfg["noise_domain"],
-        noise_accesses=cfg["noise_accesses"],
         record_trials=record_trials,
     )
 

@@ -281,9 +281,6 @@ class BinaryMatrix:
             r |= ((self.cols[j] >> i) & 1) << j
         return r
 
-    def rows(self) -> tuple[int, ...]:
-        return tuple(self.row(i) for i in range(self.size))
-
     @property
     def is_identity(self) -> bool:
         return all(self.cols[j] == 1 << j for j in range(self.size))

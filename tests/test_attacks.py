@@ -29,6 +29,7 @@ from skewcache import (
     sweep_detection_vs_field,
     wilson_interval,
 )
+from skewcache.attacks import _run_trials
 
 GF4 = FieldSpec.binary(2)
 SP4 = SkewParams(GF4)
@@ -268,6 +269,24 @@ class TestCollusion:
         assert report.false_positives == 0
         fired = sum(map(sum, report.per_set_confusion))
         assert report.per_set_confusion[1][1] == fired
+
+    def test_tally_counts_wrong_set_once(self):
+        # an active trial that fires on the wrong set is one false
+        # positive, not also a false negative
+        outcomes = iter([(True, False), (True, True), (False, False)])
+
+        def protocol(cache, active):
+            assert active
+            detected, correct = next(outcomes)
+            return detected, correct, {}
+
+        sc = default_scenario("collusion", galois_config(SP4), trials=3)
+        r = _run_trials(sc, protocol, "scripted outcomes")
+        counts = (r.true_positives, r.false_positives, r.false_negatives,
+                  r.true_negatives)
+        assert counts == (1, 1, 1, 0)
+        assert sum(counts) == r.trials
+        assert r.detection_rate == 2 / 3
 
 
 class TestSweepAndReportPlumbing:

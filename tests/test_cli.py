@@ -140,6 +140,13 @@ class TestAttackCommand:
         assert payload["config"]["sweep_kind"] == "collusion"
         assert 0.18 < payload["rows"][0]["detection_rate"] < 0.32
 
+    def test_sweep_empty_range_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "attack", "sweep", "--n-min", "3",
+                                 "--n-max", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_attack_csv(self, capsys):
         code, out, _ = run_cli(capsys, "attack", "baseline-pp", "--trials",
                                "50", "--format", "csv")

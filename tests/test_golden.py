@@ -1,0 +1,81 @@
+"""Golden reports: fixed CLI runs must reproduce their checked-in bytes.
+
+Repeated runs of one build are compared elsewhere; these files pin the
+output across versions.  Each golden was written by the command listed
+in README.md (Tests), run from the repository root, which is the same
+argument list as below followed by ``--no-timestamp --output <golden>``
+(and ``--trial-log <golden>`` where a trial log is pinned).  A deliberate
+change of output is redone by hand with those commands, so it shows in
+the diff of the golden files.
+"""
+
+import difflib
+from pathlib import Path
+
+import pytest
+
+from skewcache.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+# relative, because simulate echoes the trace path into its report
+TRACE = "tests/golden/replay.trace"
+ATTACK = "--seed 3 --victim-prob 0.5"
+
+# golden report file: CLI arguments that produce it
+CASES = {
+    "verify_gf8.json": "verify --n 3",
+    "verify_gf16_a3_b5_c7.json": "verify --n 4 --a 3 --b 5 --c 7",
+    "verify_gf5.json": "verify --p 5 --n 1",
+    "cost_n3.json": "cost --n 3",
+    "cost_n3.csv": "cost --n 3 --format csv",
+    "simulate_galois.json": f"simulate {TRACE} --kind galois --n 3 --seed 7",
+    "simulate_conventional.json":
+        f"simulate {TRACE} --kind conventional --replacement lru --seed 7",
+    "simulate_stacked.json":
+        f"simulate {TRACE} --kind stacked-galois --n 3 --stack-bits 1 --seed 7",
+    "attack_baseline_pp.json": f"attack baseline-pp --trials 4000 {ATTACK}",
+    "attack_galois_pp_n3.json": f"attack galois-pp --n 3 --trials 4000 {ATTACK}",
+    "attack_collusion_n3.json": f"attack collusion --n 3 --trials 2000 {ATTACK}",
+    "attack_galois_pp_n3_log.csv":
+        f"attack galois-pp --n 3 --trials 400 {ATTACK} --format csv",
+    "attack_collusion_n3_log.csv":
+        f"attack collusion --n 3 --trials 200 {ATTACK} --format csv",
+    "attack_sweep_n2_n3.json": f"attack sweep --n-min 2 --n-max 3 --trials 2000 {ATTACK}",
+}
+# golden report file: golden trial log written by the same run
+TRIAL_LOGS = {
+    "attack_galois_pp_n3_log.csv": "attack_galois_pp_n3_trials.csv",
+    "attack_collusion_n3_log.csv": "attack_collusion_n3_trials.csv",
+}
+
+
+def assert_matches_golden(name: str, actual_path: Path) -> None:
+    expected = (GOLDEN / name).read_bytes()
+    actual = actual_path.read_bytes()
+    if actual != expected:
+        diff = difflib.unified_diff(
+            expected.decode().splitlines(keepends=True),
+            actual.decode().splitlines(keepends=True),
+            fromfile=f"tests/golden/{name}",
+            tofile="actual",
+        )
+        pytest.fail("".join(diff), pytrace=False)
+
+
+@pytest.mark.parametrize("report", list(CASES))
+def test_report_matches_golden(report, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    argv = CASES[report].split() + ["--no-timestamp", "--output", str(tmp_path / report)]
+    log = TRIAL_LOGS.get(report)
+    if log:
+        argv += ["--trial-log", str(tmp_path / log)]
+    assert main(argv) == 0
+    assert_matches_golden(report, tmp_path / report)
+    if log:
+        assert_matches_golden(log, tmp_path / log)
+
+
+def test_golden_files_all_checked():
+    pinned = set(CASES) | set(TRIAL_LOGS.values()) | {Path(TRACE).name}
+    assert {p.name for p in GOLDEN.iterdir()} == pinned
