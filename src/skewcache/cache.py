@@ -27,6 +27,7 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+from .field import MAX_CELLS
 from .skew import SkewParams, permute_all_ways
 
 KINDS = ("galois", "conventional", "stacked-galois")
@@ -89,6 +90,11 @@ class CacheConfig:
                 raise ValueError(f"unknown replacement {self.replacement!r}")
         if self.kind != "stacked-galois" and self.stack_bits:
             raise ValueError("stack_bits only applies to stacked-galois")
+        # bounding stack_bits first keeps 1 << stack_bits small
+        if (self.stack_bits > MAX_CELLS.bit_length()
+                or self.num_sets * self.num_ways * self.num_instances > MAX_CELLS):
+            raise ValueError(f"{self.num_sets}x{self.num_ways} cells x 2^{self.stack_bits} "
+                             f"instances exceeds {MAX_CELLS} cells")
 
     @property
     def num_instances(self) -> int:

@@ -4,10 +4,14 @@ Subcommands: ``verify`` (structural checks), ``simulate`` (trace
 replay), ``attack`` (Monte Carlo experiments), ``cost`` (XOR-gate
 model).  Reports are JSON (default) or CSV, to stdout or ``--output``.
 
-Option precedence, highest first: explicit command-line flag, value
-from the ``--config`` JSON file, built-in default.  Numeric flags
-accept decimal, 0x and 0b literals.  Exit codes: 0 success, 1
-verification violations, 2 invalid configuration or input.
+Every option is one row of ``OPTIONS``, from which the parser, the
+``--config`` merge and the report's ``config`` echo are derived.  Any
+option can be given as a flag or as a key of the ``--config`` JSON
+object.  Precedence, highest first: explicit flag, config file, the
+row's default.  Config values are type-checked, and unknown keys
+rejected, before any command runs.  Numeric flags accept decimal, 0x
+and 0b literals.  Exit codes: 0 success, 1 verification violations, 2
+invalid configuration or input.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 from .attacks import AttackScenario, run_scenario, sweep_detection_vs_field
 from .cache import (
@@ -33,7 +38,77 @@ from .field import FieldSpec, poly_str
 from .skew import SkewParams, verify_diagonalization, verify_way_bijection
 from .trace import load_trace, replay
 
-FIELD_DEFAULTS = {"p": 2, "n": 2, "modulus": 0, "a": 1, "b": 1, "c": 0}
+_ALL = "verify simulate attack cost"  # every subcommand
+
+
+def _on(commands: str, default, **per_command) -> dict:
+    """Subcommand -> default for each of the space-separated ``commands``."""
+    return {c: per_command.get(c, default) for c in commands.split()}
+
+
+class Option(NamedTuple):
+    """One option: flag ``--name`` (dashes for underscores), config key ``name``.
+
+    ``type`` is int, float, str or bool, or a tuple of allowed strings.
+    ``defaults`` maps each subcommand that takes the option to its
+    default; a None default makes the option nullable.  ``echo`` says
+    which reports echo the resolved value in their ``config``: "" none,
+    "run" simulate and single-kind attack reports, "sweep" attack sweep
+    reports as well.  verify and cost echo the resolved field instead.
+    """
+
+    name: str
+    type: object
+    defaults: dict
+    echo: str = "run"
+    help: str | None = None
+
+
+OPTIONS = (
+    Option("p", int, _on(_ALL, 2), help="field characteristic (prime)"),
+    Option("n", int, _on(_ALL, 2, cost=3), help="extension degree"),
+    Option("modulus", int, _on(_ALL, 0),
+           help="reducing polynomial; 0 picks the built-in default"),
+    Option("a", int, _on(_ALL, 1)),
+    Option("b", int, _on(_ALL, 1)),
+    Option("c", int, _on(_ALL, 0)),
+    Option("seed", int, _on("simulate attack", 0), "sweep"),
+    Option("kind", ("galois", "conventional", "stacked-galois"),
+           _on("simulate", "galois")),
+    Option("sets", int, _on("simulate attack", 4),
+           help="conventional cache sets (attack: baseline-pp)"),
+    Option("ways", int, _on("simulate attack", 4)),
+    Option("replacement", ("random", "lru"),
+           _on("simulate attack", "random", attack="lru")),
+    Option("offset_bits", int, _on("simulate", 6)),
+    Option("stack_bits", int, _on("simulate", 0)),
+    Option("trials", int, _on("attack", 10000), "sweep"),
+    Option("victim_domain", int, _on("attack", 2)),
+    Option("adversary_domain", int, _on("attack", 1)),
+    Option("prober_domain", int, _on("attack", 1)),
+    Option("squeezer_domain", int, _on("attack", 0)),
+    Option("victim_set", int, _on("attack", 0)),
+    Option("prime_set", int, _on("attack", None)),
+    Option("skip_set", int, _on("attack", None)),
+    Option("victim_prob", float, _on("attack", 1.0), "sweep",
+           help="victim activity probability"),
+    Option("n_min", int, _on("attack", 2), "sweep"),
+    Option("n_max", int, _on("attack", 4), "sweep"),
+    Option("sweep_kind", ("galois-pp", "collusion"), _on("attack", "galois-pp"),
+           "sweep"),
+    Option("trial_log", str, _on("attack", None), "",
+           help="write one CSV row per trial to this path"),
+    Option("emit_netlists", str, _on("cost", None), "",
+           help="directory for one netlist file per way"),
+    Option("format", ("json", "csv"), _on(_ALL, "json"), ""),
+    Option("output", str, _on(_ALL, None), "",
+           help="write the report here instead of stdout"),
+    Option("no_timestamp", bool, _on(_ALL, False), "",
+           help="omit the generated_at field from JSON reports"),
+)
+
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
+               bool: "true or false"}
 
 
 def _int_literal(text: str) -> int:
@@ -43,29 +118,57 @@ def _int_literal(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not a numeric literal: {text!r}") from None
 
 
-def _load_file_config(path) -> dict:
-    if not path:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
-    return data
+def _flag_kwargs(kind) -> dict:
+    if isinstance(kind, tuple):
+        return {"choices": kind}
+    if kind is bool:
+        return {"action": "store_true"}
+    return {"type": _int_literal if kind is int else kind}
 
 
-def _resolve(args, defaults: dict) -> dict:
-    """Merge CLI flags over config-file values over built-in defaults."""
-    file_cfg = _load_file_config(getattr(args, "config", None))
-    resolved = {}
-    for key, default in defaults.items():
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            resolved[key] = cli_value
-        elif key in file_cfg:
-            resolved[key] = file_cfg[key]
-        else:
-            resolved[key] = default
-    return resolved
+def _checked(opt: Option, command: str, value):
+    """A config-file value, after checking it against the option's type."""
+    if value is None and opt.defaults[command] is None:
+        return None
+    if opt.type is float and type(value) is int:
+        value = float(value)
+    if isinstance(opt.type, tuple):
+        if value in opt.type:
+            return value
+        wanted = "one of " + ", ".join(json.dumps(c) for c in opt.type)
+    elif type(value) is opt.type:
+        return value
+    else:
+        wanted = _TYPE_NAMES[opt.type]
+    raise ValueError(f"config key {opt.name!r} must be {wanted}, got {json.dumps(value)}")
+
+
+def _resolve(args) -> dict:
+    """The parsed arguments, each option set by its flag, else its config key,
+    else its default; the config file is read and checked once, here."""
+    command = args.command
+    options = {o.name: o for o in OPTIONS if command in o.defaults}
+    file_cfg = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ValueError("config file must hold a JSON object")
+    for key, value in file_cfg.items():
+        if key not in options:
+            raise ValueError(f"config key {key!r} is not an option of {command}")
+        file_cfg[key] = _checked(options[key], command, value)
+    cfg = dict(vars(args))
+    for name, o in options.items():
+        if cfg[name] is None:
+            cfg[name] = file_cfg.get(name, o.defaults[command])
+    return cfg
+
+
+def _echo(cfg: dict, sweep: bool = False) -> dict:
+    """The subcommand's echoed options; only those marked "sweep" if ``sweep``."""
+    return {o.name: cfg[o.name] for o in OPTIONS if cfg["command"] in o.defaults
+            and o.echo and (o.echo == "sweep" or not sweep)}
 
 
 def _field_and_skew(cfg: dict) -> SkewParams:
@@ -95,14 +198,9 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _emit(args, payload: dict, csv_header: list[str], csv_rows: list[list]) -> None:
-    no_ts = getattr(args, "no_timestamp", False)
-    if not no_ts:
-        file_cfg = _load_file_config(getattr(args, "config", None))
-        no_ts = bool(file_cfg.get("no_timestamp", False))
-    fmt = getattr(args, "format", None) or "json"
-    if fmt == "json":
-        if not no_ts:
+def _emit(cfg: dict, payload: dict, csv_header: list[str], csv_rows: list[list]) -> None:
+    if cfg["format"] == "json":
+        if not cfg["no_timestamp"]:
             payload = dict(payload)
             payload["generated_at"] = datetime.now(timezone.utc).isoformat(
                 timespec="seconds"
@@ -110,9 +208,8 @@ def _emit(args, payload: dict, csv_header: list[str], csv_rows: list[list]) -> N
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         text = _csv_text(csv_header, csv_rows)
-    out_path = getattr(args, "output", None)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+    if cfg["output"]:
+        with open(cfg["output"], "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -121,8 +218,7 @@ def _emit(args, payload: dict, csv_header: list[str], csv_rows: list[list]) -> N
 # -- verify ------------------------------------------------------------
 
 
-def cmd_verify(args) -> int:
-    cfg = _resolve(args, FIELD_DEFAULTS)
+def cmd_verify(cfg: dict) -> int:
     sp = _field_and_skew(cfg)
     diag = verify_diagonalization(sp)
     bij = verify_way_bijection(sp)
@@ -138,23 +234,11 @@ def cmd_verify(args) -> int:
         ["diagonalization", diag.checked, len(diag.violations)],
         ["way_bijection", bij.checked, len(bij.violations)],
     ]
-    _emit(args, payload, ["check", "checked", "violations"], rows)
+    _emit(cfg, payload, ["check", "checked", "violations"], rows)
     return 0 if ok else 1
 
 
 # -- simulate ----------------------------------------------------------
-
-SIMULATE_DEFAULTS = {
-    **FIELD_DEFAULTS,
-    "kind": "galois",
-    "sets": 4,
-    "ways": 4,
-    "replacement": "random",
-    "offset_bits": 6,
-    "stack_bits": 0,
-    "seed": 0,
-}
-
 
 def _cache_config(cfg: dict) -> CacheConfig:
     kind = cfg["kind"]
@@ -168,10 +252,9 @@ def _cache_config(cfg: dict) -> CacheConfig:
     return galois_config(sp, cfg["offset_bits"])
 
 
-def cmd_simulate(args) -> int:
-    cfg = _resolve(args, SIMULATE_DEFAULTS)
+def cmd_simulate(cfg: dict) -> int:
     cache_cfg = _cache_config(cfg)
-    records = load_trace(args.trace)
+    records = load_trace(cfg["trace"])
     cache = build_cache(cache_cfg, cfg["seed"])
     ops = replay(cache, records)
     stats = cache.stats()
@@ -183,44 +266,19 @@ def cmd_simulate(args) -> int:
         domains[str(d)] = row
     payload = {
         "command": "simulate",
-        "config": {k: cfg[k] for k in SIMULATE_DEFAULTS},
-        "trace": str(args.trace),
+        "config": _echo(cfg),
+        "trace": str(cfg["trace"]),
         "accesses": len(records),
         "domains": domains,
     }
     header = ["domain", "hits", "misses", "evictions_caused", "self_evictions",
               "reads", "writes"]
-    rows = [
-        [d, r["hits"], r["misses"], r["evictions_caused"], r["self_evictions"],
-         r["reads"], r["writes"]]
-        for d, r in domains.items()
-    ]
-    _emit(args, payload, header, rows)
+    rows = [[d, *(r[k] for k in header[1:])] for d, r in domains.items()]
+    _emit(cfg, payload, header, rows)
     return 0
 
 
 # -- attack ------------------------------------------------------------
-
-ATTACK_DEFAULTS = {
-    **FIELD_DEFAULTS,
-    "trials": 10000,
-    "seed": 0,
-    "victim_domain": 2,
-    "adversary_domain": 1,
-    "prober_domain": 1,
-    "squeezer_domain": 0,
-    "victim_set": 0,
-    "prime_set": None,
-    "skip_set": None,
-    "victim_prob": 1.0,
-    "sets": 4,
-    "ways": 4,
-    "replacement": "lru",
-    "n_min": 2,
-    "n_max": 4,
-    "sweep_kind": "galois-pp",
-}
-
 
 def _attack_scenario(which: str, cfg: dict, record_trials: bool) -> AttackScenario:
     kind = which.replace("-", "_")
@@ -251,17 +309,14 @@ def _attack_scenario(which: str, cfg: dict, record_trials: bool) -> AttackScenar
 
 def _write_trial_log(path, rows: list[dict]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if not rows:
-            fh.write("")
-            return
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+        if rows:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
 
 
-def cmd_attack(args) -> int:
-    cfg = _resolve(args, ATTACK_DEFAULTS)
-    which = args.which
+def cmd_attack(cfg: dict) -> int:
+    which = cfg["which"]
     if which == "sweep":
         n_range = range(cfg["n_min"], cfg["n_max"] + 1)
         swept = cfg["sweep_kind"].replace("-", "_")
@@ -271,50 +326,43 @@ def cmd_attack(args) -> int:
         payload = {
             "command": "attack",
             "kind": "sweep",
-            "config": {k: cfg[k] for k in ("sweep_kind", "trials", "seed",
-                                           "victim_prob", "n_min", "n_max")},
+            "config": _echo(cfg, sweep=True),
             "rows": rows,
         }
         header = ["n", "order", "theoretical_rate", "detection_rate", "ci_low",
                   "ci_high", "trials"]
         table = [[r[k] for k in header] for r in rows]
-        _emit(args, payload, header, table)
+        _emit(cfg, payload, header, table)
         return 0
-    scenario = _attack_scenario(which, cfg, record_trials=bool(args.trial_log))
+    scenario = _attack_scenario(which, cfg, record_trials=bool(cfg["trial_log"]))
     report = run_scenario(scenario)
-    if args.trial_log:
-        _write_trial_log(args.trial_log, report.trial_rows or [])
+    if cfg["trial_log"]:
+        _write_trial_log(cfg["trial_log"], report.trial_rows or [])
     payload = {
         "command": "attack",
         "kind": scenario.kind,
-        "config": {k: cfg[k] for k in ATTACK_DEFAULTS},
+        "config": _echo(cfg),
         "report": report.to_dict(),
     }
     header = ["kind", "trials", "true_positives", "false_positives",
               "false_negatives", "true_negatives", "detection_rate",
               "ci_low", "ci_high"]
-    rows = [[report.kind, report.trials, report.true_positives,
-             report.false_positives, report.false_negatives,
-             report.true_negatives, report.detection_rate, report.ci_low,
-             report.ci_high]]
-    _emit(args, payload, header, rows)
+    rows = [[getattr(report, k) for k in header]]
+    _emit(cfg, payload, header, rows)
     return 0
 
 
 # -- cost --------------------------------------------------------------
 
-COST_DEFAULTS = {**FIELD_DEFAULTS, "n": 3}
-
-
-def cmd_cost(args) -> int:
-    cfg = _resolve(args, COST_DEFAULTS)
+def cmd_cost(cfg: dict) -> int:
     sp = _field_and_skew(cfg)
     report = permutation_cost(sp)
-    if args.emit_netlists:
-        os.makedirs(args.emit_netlists, exist_ok=True)
+    netlist_dir = cfg["emit_netlists"]
+    if netlist_dir:
+        os.makedirs(netlist_dir, exist_ok=True)
         for w in range(sp.field.order):
             net = way_network(sp.field, w)
-            path = os.path.join(args.emit_netlists, f"way{w}.netlist")
+            path = os.path.join(netlist_dir, f"way{w}.netlist")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(emit_netlist(net, f"way{w}"))
     payload = {
@@ -329,32 +377,23 @@ def cmd_cost(args) -> int:
     rows.append(["combine", "", report.combine_xor_count, 1])
     rows.append(["total", "", report.total_xor_count, ""])
     rows.append(["critical_path", "", "", report.critical_path_depth])
-    _emit(args, payload, header, rows)
+    _emit(cfg, payload, header, rows)
     return 0
 
 
 # -- parser ------------------------------------------------------------
 
-
-def _add_common(parser) -> None:
-    parser.add_argument("--config", help="JSON file with default option values")
-    parser.add_argument("--format", choices=("json", "csv"), default=None)
-    parser.add_argument("--output", help="write the report here instead of stdout")
-    parser.add_argument("--no-timestamp", dest="no_timestamp", action="store_true",
-                        help="omit the generated_at field from JSON reports")
-    parser.add_argument("--seed", type=_int_literal, default=None)
-
-
-def _add_field_flags(parser) -> None:
-    parser.add_argument("--p", type=_int_literal, default=None,
-                        help="field characteristic (prime; default 2)")
-    parser.add_argument("--n", type=_int_literal, default=None,
-                        help="extension degree (default 2)")
-    parser.add_argument("--modulus", type=_int_literal, default=None,
-                        help="reducing polynomial; 0 picks the built-in default")
-    parser.add_argument("--a", type=_int_literal, default=None)
-    parser.add_argument("--b", type=_int_literal, default=None)
-    parser.add_argument("--c", type=_int_literal, default=None)
+# subcommand: handler, help, positional arguments
+SUBCOMMANDS = {
+    "verify": (cmd_verify, "check diagonalization and per-way bijection "
+               "exhaustively", {}),
+    "simulate": (cmd_simulate, "replay a trace file",
+                 {"trace": {"help": "trace file: '<domain> <R|W> <hex addr>'"}}),
+    "attack": (cmd_attack, "run a Monte Carlo experiment",
+               {"which": {"choices": ("baseline-pp", "galois-pp", "collusion",
+                                      "sweep")}}),
+    "cost": (cmd_cost, "XOR-gate cost of the skewing map", {}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,77 +403,24 @@ def build_parser() -> argparse.ArgumentParser:
                     "gate-cost reports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="check diagonalization and "
-                              "per-way bijection exhaustively")
-    _add_field_flags(p_verify)
-    _add_common(p_verify)
-    p_verify.set_defaults(handler=cmd_verify)
-
-    p_sim = sub.add_parser("simulate", help="replay a trace file")
-    p_sim.add_argument("trace", help="trace file: '<domain> <R|W> <hex addr>'")
-    p_sim.add_argument("--kind", choices=("galois", "conventional",
-                                          "stacked-galois"), default=None)
-    p_sim.add_argument("--sets", type=_int_literal, default=None)
-    p_sim.add_argument("--ways", type=_int_literal, default=None)
-    p_sim.add_argument("--replacement", choices=("random", "lru"), default=None)
-    p_sim.add_argument("--offset-bits", dest="offset_bits", type=_int_literal,
-                       default=None)
-    p_sim.add_argument("--stack-bits", dest="stack_bits", type=_int_literal,
-                       default=None)
-    _add_field_flags(p_sim)
-    _add_common(p_sim)
-    p_sim.set_defaults(handler=cmd_simulate)
-
-    p_att = sub.add_parser("attack", help="run a Monte Carlo experiment")
-    p_att.add_argument("which", choices=("baseline-pp", "galois-pp", "collusion",
-                                         "sweep"))
-    p_att.add_argument("--trials", type=_int_literal, default=None)
-    p_att.add_argument("--victim-domain", dest="victim_domain",
-                       type=_int_literal, default=None)
-    p_att.add_argument("--adversary-domain", dest="adversary_domain",
-                       type=_int_literal, default=None)
-    p_att.add_argument("--prober-domain", dest="prober_domain",
-                       type=_int_literal, default=None)
-    p_att.add_argument("--squeezer-domain", dest="squeezer_domain",
-                       type=_int_literal, default=None)
-    p_att.add_argument("--victim-set", dest="victim_set", type=_int_literal,
-                       default=None)
-    p_att.add_argument("--prime-set", dest="prime_set", type=_int_literal,
-                       default=None)
-    p_att.add_argument("--skip-set", dest="skip_set", type=_int_literal,
-                       default=None)
-    p_att.add_argument("--victim-prob", dest="victim_prob", type=float,
-                       default=None, help="victim activity probability")
-    p_att.add_argument("--sets", type=_int_literal, default=None,
-                       help="baseline-pp: conventional cache sets")
-    p_att.add_argument("--ways", type=_int_literal, default=None)
-    p_att.add_argument("--replacement", choices=("random", "lru"), default=None)
-    p_att.add_argument("--n-min", dest="n_min", type=_int_literal, default=None)
-    p_att.add_argument("--n-max", dest="n_max", type=_int_literal, default=None)
-    p_att.add_argument("--sweep-kind", dest="sweep_kind",
-                       choices=("galois-pp", "collusion"), default=None)
-    p_att.add_argument("--trial-log", dest="trial_log", default=None,
-                       help="write one CSV row per trial to this path")
-    _add_field_flags(p_att)
-    _add_common(p_att)
-    p_att.set_defaults(handler=cmd_attack)
-
-    p_cost = sub.add_parser("cost", help="XOR-gate cost of the skewing map")
-    p_cost.add_argument("--emit-netlists", dest="emit_netlists", default=None,
-                        help="directory for one netlist file per way")
-    _add_field_flags(p_cost)
-    _add_common(p_cost)
-    p_cost.set_defaults(handler=cmd_cost)
-
+    for command, (handler, help_text, positionals) in SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, kwargs in positionals.items():
+            p.add_argument(name, **kwargs)
+        p.add_argument("--config", help="JSON object of option values, keyed by "
+                       "option name")
+        for o in OPTIONS:
+            if command in o.defaults:
+                p.add_argument("--" + o.name.replace("_", "-"), dest=o.name,
+                               default=None, help=o.help, **_flag_kwargs(o.type))
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return args.handler(_resolve(args))
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

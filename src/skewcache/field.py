@@ -37,8 +37,11 @@ DEFAULT_MODULI = {
     7: 0b10000011,   # x^7 + x + 1
 }
 
-#: Largest supported extension degree for GF(2^n).
+#: Largest supported extension degree for GF(2^n); also caps p at 2^16.
 MAX_DEGREE = 16
+
+#: Largest cell count of a layout table (m^3) or cache (sets x ways x stack).
+MAX_CELLS = 1 << 24
 
 #: Fields up to this order get a memoized inverse table on first use.
 _INV_TABLE_MAX = 4096
@@ -142,6 +145,8 @@ class FieldSpec:
     order: int = dc_field(init=False, compare=False)
 
     def __post_init__(self):
+        if self.p > 1 << MAX_DEGREE:
+            raise ValueError(f"characteristic {self.p} exceeds 2^{MAX_DEGREE}")
         if not is_prime(self.p):
             raise ValueError(f"characteristic {self.p} is not prime")
         if self.n < 1:

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import FieldSpec
+from .field import MAX_CELLS, FieldSpec
 
 
 @dataclass(frozen=True)
@@ -118,6 +118,8 @@ class VerificationReport:
 def layout_table(sp: SkewParams) -> np.ndarray:
     """Dense (domain, set, way) -> physical set table, built from permute."""
     m = sp.field.order
+    if m ** 3 > MAX_CELLS:
+        raise ValueError(f"layout table of {m}^3 cells exceeds {MAX_CELLS}")
     table = np.empty((m, m, m), dtype=np.int32)
     for t in range(m):
         for s in range(m):

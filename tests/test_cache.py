@@ -15,6 +15,7 @@ from skewcache import (
     galois_config,
     stacked_config,
 )
+from skewcache.field import MAX_CELLS
 
 GF4 = FieldSpec.binary(2)
 SP4 = SkewParams(GF4)
@@ -80,6 +81,19 @@ class TestConfigValidation:
     def test_conventional_power_of_two_sets(self):
         with pytest.raises(ValueError):
             conventional_config(5, 4)
+
+    def test_cell_count_limit(self):
+        assert conventional_config(MAX_CELLS // 8, 8).num_sets == 1 << 21
+        over = (
+            lambda: conventional_config(1 << 40, 8),
+            lambda: conventional_config(MAX_CELLS // 4, 8),
+            lambda: stacked_config(SP4, stack_bits=40),
+            lambda: stacked_config(SP4, stack_bits=10 ** 12),
+            lambda: galois_config(SkewParams(FieldSpec.prime(65521))),
+        )
+        for make in over:
+            with pytest.raises(ValueError, match="exceeds"):
+                make()
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -2,8 +2,12 @@
 
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewcache.cli import main
 
@@ -255,3 +259,113 @@ class TestReportPlumbing:
         assert cfg == {"p": 2, "n": 3, "modulus": 0b1011,
                        "modulus_poly": "x^3+x+1", "order": 8,
                        "a": 1, "b": 1, "c": 0}
+
+
+class TestConfigMerge:
+    @pytest.mark.parametrize("config", [
+        {"n": "3"},
+        {"nn": 5},
+        {"trials": True},
+        {"replacement": "fifo"},
+        {"victim_set": None},
+    ], ids=["string-for-int", "unknown-key", "bool-for-int", "not-a-choice",
+            "null-not-nullable"])
+    def test_bad_config_rejected(self, tmp_path, capsys, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "attack", "galois-pp", "--trials", "10",
+                                 "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert repr(next(iter(config))) in err
+
+    def test_report_options_from_config(self, tmp_path, capsys):
+        # format, output and no_timestamp are options like any other
+        report = tmp_path / "report.csv"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"format": "csv", "output": str(report),
+                                    "no_timestamp": True}))
+        code, out, _ = run_cli(capsys, "verify", "--config", str(path))
+        assert code == 0 and out == ""
+        assert report.read_text().splitlines()[0] == "check,checked,violations"
+
+    def test_nullable_option_takes_null(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"prime_set": None, "victim_prob": 1}))
+        code, out, _ = run_cli(capsys, "attack", "galois-pp", "--trials", "0",
+                               "--config", str(path), "--no-timestamp")
+        assert code == 0
+        echo = json.loads(out)["config"]
+        assert echo["prime_set"] is None
+        assert echo["victim_prob"] == 1.0 and isinstance(echo["victim_prob"], float)
+
+    @pytest.mark.parametrize("command", ["verify", "cost"])
+    def test_seed_only_where_used(self, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "5"])
+        assert exc.value.code == 2
+
+    def test_over_limit_field_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--p", "65537", "--n", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+# galois-pp option values that keep a GF(4) or GF(8) scenario valid
+GALOIS_PP_VALUES = {
+    "p": st.just(2),
+    "n": st.sampled_from([2, 3]),
+    "modulus": st.just(0),
+    "a": st.integers(1, 3),
+    "b": st.integers(1, 3),
+    "c": st.integers(0, 3),
+    "seed": st.integers(0, 2 ** 32),
+    "victim_domain": st.sampled_from([2, 3]),
+    "adversary_domain": st.sampled_from([0, 1]),
+    "prober_domain": st.integers(0, 9),
+    "squeezer_domain": st.integers(0, 9),
+    "victim_set": st.integers(0, 3),
+    "prime_set": st.integers(0, 3),
+    "skip_set": st.integers(0, 3),
+    "victim_prob": st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+    "sets": st.sampled_from([1, 2, 64]),
+    "ways": st.integers(1, 8),
+    "replacement": st.sampled_from(["random", "lru"]),
+    "n_min": st.integers(2, 6),
+    "n_max": st.integers(2, 6),
+    "sweep_kind": st.sampled_from(["galois-pp", "collusion"]),
+}
+# the config echo of an attack run with no flags and no config file
+ATTACK_ECHO_DEFAULTS = {
+    "p": 2, "n": 2, "modulus": 0, "a": 1, "b": 1, "c": 0, "trials": 10000,
+    "seed": 0, "victim_domain": 2, "adversary_domain": 1, "prober_domain": 1,
+    "squeezer_domain": 0, "victim_set": 0, "prime_set": None, "skip_set": None,
+    "victim_prob": 1.0, "sets": 4, "ways": 4, "replacement": "lru",
+    "n_min": 2, "n_max": 4, "sweep_kind": "galois-pp",
+}
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(data=st.data())
+def test_config_precedence_property(data):
+    """Echo = flag value, else config-file value, else default, per option."""
+    sources = data.draw(st.dictionaries(st.sampled_from(sorted(GALOIS_PP_VALUES)),
+                                        st.sampled_from(["flag", "file", "both"])))
+    flags, file_cfg = {}, {}
+    for name, source in sources.items():
+        if source != "file":
+            flags[name] = data.draw(GALOIS_PP_VALUES[name], label=f"--{name}")
+        if source != "flag":
+            file_cfg[name] = data.draw(GALOIS_PP_VALUES[name], label=f"file {name}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path, report = Path(tmp, "cfg.json"), Path(tmp, "report.json")
+        path.write_text(json.dumps(file_cfg))
+        argv = ["attack", "galois-pp", "--trials", "0", "--config", str(path),
+                "--no-timestamp", "--output", str(report)]
+        for name, value in flags.items():
+            argv += ["--" + name.replace("_", "-"), str(value)]
+        assert main(argv) == 0
+        echo = json.loads(report.read_text())["config"]
+    assert echo == {**ATTACK_ECHO_DEFAULTS, **file_cfg, **flags, "trials": 0}

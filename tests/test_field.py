@@ -13,6 +13,7 @@ from skewcache import (
     poly_str,
     poly_terms,
 )
+from skewcache.field import MAX_DEGREE
 
 from support import (
     MODULUS_256,
@@ -61,6 +62,12 @@ class TestConstruction:
     def test_rejects_oversized_degree(self):
         with pytest.raises(ValueError):
             FieldSpec.binary(17)
+
+    def test_rejects_characteristic_above_limit_before_primality(self):
+        # 2^61 - 1 is prime; trial division of it would run for minutes
+        for p in (2 ** 61 - 1, (1 << MAX_DEGREE) + 1):
+            with pytest.raises(ValueError, match="exceeds"):
+                FieldSpec(p=p)
 
     def test_no_default_modulus_above_seven(self):
         with pytest.raises(ValueError):

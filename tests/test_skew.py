@@ -14,6 +14,8 @@ from skewcache import (
     verify_diagonalization,
     verify_way_bijection,
 )
+from skewcache.field import MAX_CELLS
+from skewcache.skew import layout_table
 
 from support import brute_force_witnesses, small_fields
 
@@ -186,6 +188,14 @@ class TestVerifiers:
                 )
                 assert verify_diagonalization(sp).ok
                 assert verify_way_bijection(sp).ok
+
+    def test_layout_table_over_cell_limit_rejected(self):
+        # GF(257) is the smallest field whose m^3 table exceeds the limit
+        sp = SkewParams(FieldSpec.prime(257))
+        assert 257 ** 3 > MAX_CELLS >= 256 ** 3
+        for check in (layout_table, verify_diagonalization, verify_way_bijection):
+            with pytest.raises(ValueError, match="exceeds"):
+                check(sp)
 
     def test_negative_control_mod_ring(self):
         broken = BrokenModularRing(p=2, n=2, modulus=0b111)
