@@ -1,19 +1,31 @@
-"""Functional cache models: skewed, conventional, and stacked.
+"""Functional cache models: skewed, conventional and stacked.
 
-Three kinds share one access contract:
+One lookup core serves three cache kinds.  A cache is a flat array of
+cells.  An address drops its line-offset bits and splits into
+row = block % (num_sets * num_instances) and
+tag = block // (num_sets * num_instances), the split decompose_address
+makes.  The row names one candidate cell per way, and the kinds differ
+only in how those cells are laid out:
 
-* ``galois``: a square cache of m sets by m ways (m the field order)
-  where each security domain looks up set s across the skewed candidate
-  cells (permute(t, s, w), w).  Replacement is seeded-random.
 * ``conventional``: a commodity set-associative cache, LRU or random
-  replacement, set index taken straight from the address.
-* ``stacked-galois``: 2^k independent galois instances selected by the
-  address bits directly above the set index.
+  replacement.  Row s is the cells s*ways + w, one row table shared by
+  every domain.
+* ``galois``: a square cache of m sets by m ways (m the field order).
+  Domain t finds set s at the cells permute(t, s, w)*m + w.  Replacement
+  is seeded-random.
+* ``stacked-galois``: 2^k galois arrays side by side, selected by the
+  address bits directly above the set index.  Row r is the galois row
+  of set r % m, offset by (r // m)*m*m cells.
+
+Each row is laid out on first use, per domain for the skewed kinds.
+The physical set reported for flat cell index i is i // ways for every
+kind.
 
 Lines are tagged (domain, tag) and never shared across domains, so a
 hit requires both to match.  A miss fills the lowest-index invalid
-candidate if one exists, otherwise evicts a uniformly random candidate
-using the cache's own seeded generator (getrandbits(64) mod ways).
+candidate if one exists, otherwise evicts the least recently used
+candidate (LRU) or a uniformly random one drawn from the cache's own
+seeded generator (getrandbits(64) mod ways).
 
 State is mutable and single-owner; run concurrent experiments on
 separate instances with separate seeds.  ``flush`` invalidates every
@@ -157,19 +169,53 @@ def compose_address(
 
 
 class _BaseCache:
-    """Shared stats plumbing and the observation interface."""
+    """The lookup core every cache kind runs on.
 
-    def __init__(self, cfg: CacheConfig, rng: random.Random):
+    One flat cell array, one random stream, one per-domain stats table
+    and one scan/fill/evict loop (``_access_line``).  A kind supplies
+    only the layout of a candidate row: ``_layout(domain, row)`` gives
+    the flat cell index of each way, and ``_row_table(domain)`` the
+    table that caches laid-out rows for a domain.  The defaults here are
+    the skewed layout shared by ``galois`` and ``stacked-galois``: one
+    table per domain, each row laid out on first use.
+    """
+
+    def __init__(self, cfg: CacheConfig, seed: int = 0):
         self.cfg = cfg
-        self.rng = rng
+        self.rng = random.Random(seed)
+        self._ways = cfg.num_ways
+        self._off = cfg.line_offset_bits
+        self._span = cfg.num_sets * cfg.num_instances  # rows per domain
+        self._lru = cfg.replacement == "lru"
         self._stats: dict[int, list[int]] = {}
+        self._rows: dict[int, list[Optional[tuple[int, ...]]]] = {}
+        self._cells: list[Optional[tuple]] = [None] * (self._span * self._ways)
+        # LRU stamps exist only under LRU replacement
+        self._stamps = [0] * len(self._cells) if self._lru else None
+        self._clock = 0
 
-    def _stat_row(self, domain: int) -> list[int]:
-        row = self._stats.get(domain)
-        if row is None:
-            row = [0, 0, 0, 0]
-            self._stats[domain] = row
-        return row
+    def _row_table(self, domain: int) -> list[Optional[tuple[int, ...]]]:
+        """An empty row table for a domain's first access."""
+        m = self._ways
+        if not 0 <= domain < m:
+            raise ValueError(f"domain id {domain} out of range for {m} domains")
+        return [None] * self._span
+
+    def _layout(self, domain: int, row: int) -> tuple[int, ...]:
+        m = self._ways
+        base = (row // m) * m * m
+        return tuple(base + p * m + w
+                     for w, p in enumerate(permute_all_ways(self.cfg.skew, domain, row % m)))
+
+    def _row(self, domain: int, row: int) -> tuple[int, ...]:
+        """Candidate cells of a domain's row, laid out on first use."""
+        rows = self._rows.get(domain)
+        if rows is None:
+            rows = self._rows[domain] = self._row_table(domain)
+        cand = rows[row]
+        if cand is None:
+            cand = rows[row] = self._layout(domain, row)
+        return cand
 
     def stats(self) -> dict[int, dict[str, int]]:
         return {
@@ -189,11 +235,20 @@ class _BaseCache:
         self.rng.seed(seed)
 
     def access(self, domain: int, addr: int) -> AccessOutcome:
-        raise NotImplementedError
+        if addr < 0:
+            raise ValueError("addresses are unsigned")
+        block = addr >> self._off
+        span = self._span
+        hit, idx, way, victim = self._access_line(domain, block % span, block // span)
+        return AccessOutcome(hit, idx // self._ways, way, victim)
 
     def probe_one(self, domain: int, addr: int) -> bool:
         """Single-address probe; exposes only the hit/miss bit."""
-        return self.access(domain, addr).hit
+        if addr < 0:
+            raise ValueError("addresses are unsigned")
+        block = addr >> self._off
+        span = self._span
+        return self._access_line(domain, block % span, block // span)[0]
 
     def observe_probe(self, domain: int, addrs) -> list[ProbeObservation]:
         """Probe addresses in order.  Probes are real accesses and mutate
@@ -203,65 +258,18 @@ class _BaseCache:
         probe = self.probe_one
         return [ProbeObservation(addr, probe(domain, addr)) for addr in addrs]
 
-    def flush(self, reset_stats: bool = False) -> None:
-        raise NotImplementedError
-
-
-class GaloisCache(_BaseCache):
-    """Square skewed cache with per-domain candidate rows.
-
-    Candidate cell indices are materialized lazily per domain: row s of
-    domain t lists the flat cell index (physical_set * m + w) for each
-    way w.
-    """
-
-    def __init__(self, cfg: CacheConfig, seed: int = 0, rng: random.Random | None = None):
-        super().__init__(cfg, rng if rng is not None else random.Random(seed))
-        self._m = cfg.num_ways
-        self._off = cfg.line_offset_bits
-        self._cells: list[Optional[tuple]] = [None] * (self._m * self._m)
-        self._rows: dict[int, list[tuple[int, ...]]] = {}
-
-    def _candidate_rows(self, domain: int) -> list[tuple[int, ...]]:
-        rows = self._rows.get(domain)
-        if rows is None:
-            m = self._m
-            if not 0 <= domain < m:
-                raise ValueError(f"domain id {domain} out of range for {m} domains")
-            sp = self.cfg.skew
-            rows = [
-                tuple(p * m + w for w, p in enumerate(permute_all_ways(sp, domain, s)))
-                for s in range(m)
-            ]
-            self._rows[domain] = rows
-        return rows
-
-    def access(self, domain: int, addr: int) -> AccessOutcome:
-        if addr < 0:
-            raise ValueError("addresses are unsigned")
-        m = self._m
-        block = addr >> self._off
-        hit, idx, way, victim = self._access_line(domain, block % m, block // m)
-        return AccessOutcome(hit, idx // m, way, victim)
-
-    def probe_one(self, domain: int, addr: int) -> bool:
-        if addr < 0:
-            raise ValueError("addresses are unsigned")
-        m = self._m
-        block = addr >> self._off
-        return self._access_line(domain, block % m, block // m)[0]
-
-    def _access_line(self, domain: int, set_index: int, tag: int):
+    def _access_line(self, domain: int, row: int, tag: int):
         """Core lookup: returns (hit, flat cell index, way, evicted line)."""
         rows = self._rows.get(domain)
-        if rows is None:
-            rows = self._candidate_rows(domain)
-        cand = rows[set_index]
-        cells = self._cells
-        key = (domain, tag)
+        cand = rows[row] if rows is not None else None
+        if cand is None:
+            cand = self._row(domain, row)
         stats = self._stats.get(domain)
         if stats is None:
-            stats = self._stat_row(domain)
+            stats = self._stats[domain] = [0, 0, 0, 0]
+        cells = self._cells
+        key = (domain, tag)
+        # stats slots _HITS.._SELF_EVICTIONS as literals 0..3: this is the hot loop
         first_invalid = -1
         for w, idx in enumerate(cand):
             cell = cells[idx]
@@ -270,36 +278,52 @@ class GaloisCache(_BaseCache):
                     first_invalid = w
             elif cell == key:
                 stats[0] += 1
+                if self._lru:
+                    self._clock += 1
+                    self._stamps[idx] = self._clock
                 return True, idx, w, None
         stats[1] += 1
         if first_invalid >= 0:
-            idx = cand[first_invalid]
-            cells[idx] = key
-            return False, idx, first_invalid, None
-        w = self.rng.getrandbits(64) % self._m
-        idx = cand[w]
-        victim = cells[idx]
-        cells[idx] = key
-        if victim[0] == domain:
-            stats[3] += 1
+            w = first_invalid
+            victim = None
         else:
-            stats[2] += 1
+            if self._lru:
+                stamps = self._stamps
+                ages = [stamps[idx] for idx in cand]
+                w = ages.index(min(ages))
+            else:
+                w = self.rng.getrandbits(64) % self._ways
+            victim = cells[cand[w]]
+            stats[3 if victim[0] == domain else 2] += 1
+        idx = cand[w]
+        cells[idx] = key
+        if self._lru:
+            self._clock += 1
+            self._stamps[idx] = self._clock
         return False, idx, w, victim
 
     def flush(self, reset_stats: bool = False) -> None:
-        self._cells = [None] * (self._m * self._m)
+        size = len(self._cells)
+        self._cells = [None] * size
+        if self._lru:
+            self._stamps = [0] * size
         if reset_stats:
             self.reset_stats()
 
+
+class GaloisCache(_BaseCache):
+    """Square skewed cache: domain t finds set s at the cells
+    permute(t, s, w) * m + w, one per way w."""
+
     # test/harness backdoor, not part of the observation interface
     def line_at(self, physical_set: int, way: int) -> Optional[tuple]:
-        return self._cells[physical_set * self._m + way]
+        return self._cells[physical_set * self._ways + way]
 
     def domain_lines_in_set(self, domain: int, set_index: int) -> int:
         """How many candidate cells of (domain, set) hold that domain's lines."""
         cells = self._cells
         count = 0
-        for idx in self._candidate_rows(domain)[set_index]:
+        for idx in self._row(domain, set_index):
             cell = cells[idx]
             if cell is not None and cell[0] == domain:
                 count += 1
@@ -307,118 +331,31 @@ class GaloisCache(_BaseCache):
 
 
 class ConventionalCache(_BaseCache):
-    """Commodity set-associative cache with exact-LRU or random replacement."""
+    """Commodity set-associative cache with exact-LRU or random replacement.
 
-    def __init__(self, cfg: CacheConfig, seed: int = 0, rng: random.Random | None = None):
-        super().__init__(cfg, rng if rng is not None else random.Random(seed))
-        self._ways = cfg.num_ways
-        size = cfg.num_sets * cfg.num_ways
-        self._cells: list[Optional[tuple]] = [None] * size
-        self._stamps = [0] * size
-        self._clock = 0
-        self._lru = cfg.replacement == "lru"
+    Set s is the cells s * ways + w; the layout ignores the domain, so
+    every domain shares one row table.
+    """
 
-    def access(self, domain: int, addr: int) -> AccessOutcome:
-        parts = decompose_address(self.cfg, addr)
-        s = parts.set_index
-        ways = self._ways
-        base = s * ways
-        cells = self._cells
-        key = (domain, parts.tag)
-        stats = self._stat_row(domain)
-        self._clock += 1
-        first_invalid = -1
-        for w in range(ways):
-            cell = cells[base + w]
-            if cell is None:
-                if first_invalid < 0:
-                    first_invalid = w
-            elif cell == key:
-                stats[0] += 1
-                self._stamps[base + w] = self._clock
-                return AccessOutcome(True, s, w, None)
-        stats[1] += 1
-        if first_invalid >= 0:
-            cells[base + first_invalid] = key
-            self._stamps[base + first_invalid] = self._clock
-            return AccessOutcome(False, s, first_invalid, None)
-        if self._lru:
-            stamps = self._stamps
-            w = 0
-            low = stamps[base]
-            for i in range(1, ways):
-                if stamps[base + i] < low:
-                    low = stamps[base + i]
-                    w = i
-        else:
-            w = self.rng.getrandbits(64) % ways
-        victim = cells[base + w]
-        cells[base + w] = key
-        self._stamps[base + w] = self._clock
-        if victim[0] == domain:
-            stats[3] += 1
-        else:
-            stats[2] += 1
-        return AccessOutcome(False, s, w, victim)
+    def __init__(self, cfg: CacheConfig, seed: int = 0):
+        super().__init__(cfg, seed)
+        self._shared_rows: list[Optional[tuple[int, ...]]] = [None] * self._span
 
-    def flush(self, reset_stats: bool = False) -> None:
-        size = self.cfg.num_sets * self._ways
-        self._cells = [None] * size
-        self._stamps = [0] * size
-        if reset_stats:
-            self.reset_stats()
+    def _row_table(self, domain: int) -> list[Optional[tuple[int, ...]]]:
+        return self._shared_rows
+
+    def _layout(self, domain: int, row: int) -> tuple[int, ...]:
+        return tuple(range(row * self._ways, (row + 1) * self._ways))
 
 
 class StackedGaloisCache(_BaseCache):
-    """2^k independent skewed instances behind one address space.
+    """2^k galois arrays side by side in one cell array.
 
-    All instances draw from the one shared generator, so a (seed, trace)
-    pair still replays bit-identically.  Reported physical sets are
-    globalized as instance * num_sets + local set.
+    Row r is the galois row of set r % m, offset by (r // m) * m * m
+    cells, so the reported physical set is instance * m + local set.
+    All instances draw from the one random stream, so a (seed, trace)
+    pair still replays bit-identically.
     """
-
-    def __init__(self, cfg: CacheConfig, seed: int = 0, rng: random.Random | None = None):
-        super().__init__(cfg, rng if rng is not None else random.Random(seed))
-        sub = galois_config(cfg.skew, cfg.line_offset_bits)
-        self.instances = [
-            GaloisCache(sub, rng=self.rng) for _ in range(cfg.num_instances)
-        ]
-
-    def access(self, domain: int, addr: int) -> AccessOutcome:
-        parts = decompose_address(self.cfg, addr)
-        child = self.instances[parts.instance]
-        hit, idx, way, victim = child._access_line(domain, parts.set_index, parts.tag)
-        return AccessOutcome(
-            hit,
-            parts.instance * self.cfg.num_sets + idx // child._m,
-            way,
-            victim,
-        )
-
-    def stats(self) -> dict[int, dict[str, int]]:
-        merged: dict[int, dict[str, int]] = {}
-        for child in self.instances:
-            for d, row in child.stats().items():
-                agg = merged.setdefault(
-                    d,
-                    {
-                        "hits": 0,
-                        "misses": 0,
-                        "evictions_caused": 0,
-                        "self_evictions": 0,
-                    },
-                )
-                for k, v in row.items():
-                    agg[k] += v
-        return dict(sorted(merged.items()))
-
-    def reset_stats(self) -> None:
-        for child in self.instances:
-            child.reset_stats()
-
-    def flush(self, reset_stats: bool = False) -> None:
-        for child in self.instances:
-            child.flush(reset_stats)
 
 
 def build_cache(cfg: CacheConfig, seed: int = 0) -> _BaseCache:

@@ -254,9 +254,8 @@ def _cache_config(cfg: dict) -> CacheConfig:
 
 def cmd_simulate(cfg: dict) -> int:
     cache_cfg = _cache_config(cfg)
-    records = load_trace(cfg["trace"])
     cache = build_cache(cache_cfg, cfg["seed"])
-    ops = replay(cache, records)
+    ops = replay(cache, load_trace(cfg["trace"]))
     stats = cache.stats()
     domains = {}
     for d in sorted(set(stats) | set(ops)):
@@ -268,7 +267,7 @@ def cmd_simulate(cfg: dict) -> int:
         "command": "simulate",
         "config": _echo(cfg),
         "trace": str(cfg["trace"]),
-        "accesses": len(records),
+        "accesses": sum(r["reads"] + r["writes"] for r in ops.values()),
         "domains": domains,
     }
     header = ["domain", "hits", "misses", "evictions_caused", "self_evictions",

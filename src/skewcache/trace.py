@@ -8,7 +8,7 @@ placement.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 
 class TraceRecord(NamedTuple):
@@ -25,8 +25,8 @@ class TraceError(ValueError):
         self.line_number = line_number
 
 
-def parse_trace_lines(lines: Iterable[str]) -> list[TraceRecord]:
-    records = []
+def _records(lines: Iterable[str]) -> Iterator[TraceRecord]:
+    """Parse lines one at a time; a malformed line raises TraceError."""
     for lineno, raw in enumerate(lines, start=1):
         text = raw.split("#", 1)[0].strip()
         if not text:
@@ -50,13 +50,19 @@ def parse_trace_lines(lines: Iterable[str]) -> list[TraceRecord]:
             raise TraceError(lineno, f"bad hex address {addr_s!r}") from None
         if addr < 0:
             raise TraceError(lineno, "addresses are unsigned")
-        records.append(TraceRecord(domain, op, addr))
-    return records
+        yield TraceRecord(domain, op, addr)
 
 
-def load_trace(path) -> list[TraceRecord]:
+def parse_trace_lines(lines: Iterable[str]) -> list[TraceRecord]:
+    return list(_records(lines))
+
+
+def load_trace(path) -> Iterator[TraceRecord]:
+    """Stream the records of a trace file.  The file opens when the
+    first record is requested and closes when the records run out or
+    the iterator is discarded."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_trace_lines(fh)
+        yield from _records(fh)
 
 
 def replay(cache, records: Iterable[TraceRecord]) -> dict[int, dict[str, int]]:

@@ -34,6 +34,10 @@ CASES = {
         f"simulate {TRACE} --kind conventional --replacement lru --seed 7",
     "simulate_stacked.json":
         f"simulate {TRACE} --kind stacked-galois --n 3 --stack-bits 1 --seed 7",
+    "simulate_stacked_k2.json":
+        f"simulate {TRACE} --kind stacked-galois --n 3 --stack-bits 2 --seed 7",
+    "simulate_conventional_random.json":
+        f"simulate {TRACE} --kind conventional --replacement random --seed 7",
     "attack_baseline_pp.json": f"attack baseline-pp --trials 4000 {ATTACK}",
     "attack_galois_pp_n3.json": f"attack galois-pp --n 3 --trials 4000 {ATTACK}",
     "attack_collusion_n3.json": f"attack collusion --n 3 --trials 2000 {ATTACK}",

@@ -8,6 +8,7 @@ from skewcache import (
     TraceError,
     build_cache,
     galois_config,
+    load_trace,
     parse_trace_lines,
     replay,
 )
@@ -45,6 +46,14 @@ def test_parse_reports_line_numbers():
     with pytest.raises(TraceError) as err:
         parse_trace_lines(["-1 R 0x40"])
     assert err.value.line_number == 1
+
+
+def test_load_trace_streams_the_parsed_records(tmp_path):
+    path = tmp_path / "t.trace"
+    path.write_text("0 R 0x40\n# comment\n1 W 80\n")
+    records = load_trace(path)
+    assert iter(records) is records  # a stream, not a list
+    assert list(records) == parse_trace_lines(path.read_text().splitlines())
 
 
 def test_replay_counts_ops_and_stats():
