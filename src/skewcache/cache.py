@@ -112,6 +112,12 @@ class CacheConfig:
     def num_instances(self) -> int:
         return 1 << self.stack_bits if self.kind == "stacked-galois" else 1
 
+    @property
+    def num_domains(self) -> Optional[int]:
+        """Domain ids run over the field for the skewed kinds; a
+        conventional cache takes any nonnegative id (None)."""
+        return None if self.skew is None else self.skew.field.order
+
 
 def galois_config(skew: SkewParams, line_offset_bits: int = 6) -> CacheConfig:
     m = skew.field.order
@@ -196,7 +202,7 @@ class _BaseCache:
 
     def _row_table(self, domain: int) -> list[Optional[tuple[int, ...]]]:
         """An empty row table for a domain's first access."""
-        m = self._ways
+        m = self.cfg.num_domains
         if not 0 <= domain < m:
             raise ValueError(f"domain id {domain} out of range for {m} domains")
         return [None] * self._span

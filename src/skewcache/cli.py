@@ -255,7 +255,7 @@ def _cache_config(cfg: dict) -> CacheConfig:
 def cmd_simulate(cfg: dict) -> int:
     cache_cfg = _cache_config(cfg)
     cache = build_cache(cache_cfg, cfg["seed"])
-    ops = replay(cache, load_trace(cfg["trace"]))
+    ops = replay(cache, load_trace(cfg["trace"], cache_cfg.num_domains))
     stats = cache.stats()
     domains = {}
     for d in sorted(set(stats) | set(ops)):

@@ -116,22 +116,110 @@ class VerificationReport:
 
 @lru_cache(maxsize=16)
 def layout_table(sp: SkewParams) -> np.ndarray:
-    """Dense (domain, set, way) -> physical set table, built from permute."""
-    m = sp.field.order
+    """Dense (domain, set, way) -> physical set table.
+
+    Entry (t, s, w) is permute_all_ways(sp, t, s)[w], assembled from
+    O(m^2) field calls: the base vector a*s + c, the (b*t)*w products
+    and the addition table, combined by a numpy gather.  Only the
+    FieldSpec's own operations are used, so a subclass that overrides
+    them is honoured.  Entries are int16: MAX_CELLS caps m at 256.
+    """
+    f = sp.field
+    m = f.order
     if m ** 3 > MAX_CELLS:
         raise ValueError(f"layout table of {m}^3 cells exceeds {MAX_CELLS}")
-    table = np.empty((m, m, m), dtype=np.int32)
+    base = np.array([f.add(f.mul(sp.a, s), sp.c) for s in range(m)], dtype=np.intp)
+    shift = np.array([[f.mul(bt, w) for w in range(m)] for bt in sp.bt_cache],
+                     dtype=np.intp)
+    add = np.array([[f.add(x, y) for y in range(m)] for x in range(m)], dtype=np.int16)
+    table = np.empty((m, m, m), dtype=np.int16)
     for t in range(m):
-        for s in range(m):
-            table[t, s] = permute_all_ways(sp, t, s)
+        table[t] = add[base[:, None], shift[t][None, :]]
     return table
 
 
 def _difference_table(f: FieldSpec) -> np.ndarray:
     m = f.order
     return np.array(
-        [[f.sub(s2, s) for s2 in range(m)] for s in range(m)], dtype=np.int64
+        [[f.sub(s2, s) for s2 in range(m)] for s in range(m)], dtype=np.int16
     )
+
+
+def _way_bijective(table: np.ndarray) -> np.ndarray:
+    """(domain, way) -> whether s -> physical set is a permutation."""
+    sets = np.arange(table.shape[0])[:, None]
+    return np.array([(np.sort(rows, axis=0) == sets).all(axis=0) for rows in table])
+
+
+def _predictor(sp: SkewParams):
+    """pred(t, t2)[d]: the closed-form way where domain t's set s meets
+    domain t2's set s + d, or -1 where the solver fails.
+
+    The closed form factors through the domain and set-index
+    differences, so one vector per domain difference suffices (the full
+    per-tuple agreement for small orders is pinned separately by the
+    solver tests).  Unsolvable entries occur when the arithmetic is not
+    a field.
+    """
+    f = sp.field
+    cache: dict[int, np.ndarray] = {}
+
+    def pred(t: int, t2: int) -> np.ndarray:
+        delta = f.sub(t, t2)
+        row = cache.get(delta)
+        if row is None:
+            row = cache[delta] = np.empty(f.order, dtype=np.int16)
+            for d in range(f.order):
+                try:
+                    row[d] = solve_intersection_way(sp, t, t2, 0, d)
+                except (ValueError, ZeroDivisionError):
+                    row[d] = -1
+        return row
+
+    return pred
+
+
+def _pair_violations(table, t, t2, pred_by_diff, diff) -> list[dict]:
+    """Direct comparison of domains t and t2: every (s, s2, w) at once."""
+    eq = table[t][:, None, :] == table[t2][None, :, :]
+    counts = eq.sum(axis=2, dtype=np.int16)
+    violations = [
+        {"kind": "intersection-count", "t": t, "t2": t2, "s": int(s),
+         "s2": int(s2), "count": int(counts[s, s2])}
+        for s, s2 in np.argwhere(counts != 1)
+    ]
+    witness = eq.argmax(axis=2)
+    mismatch = (counts == 1) & (witness != pred_by_diff[diff])
+    violations += [
+        {"kind": "witness-mismatch", "t": t, "t2": t2, "s": int(s),
+         "s2": int(s2), "enumerated": int(witness[s, s2]),
+         "solved": int(pred_by_diff[diff[s, s2]])}
+        for s, s2 in np.argwhere(mismatch)
+    ]
+    return violations
+
+
+def _verify_diagonalization_direct(sp: SkewParams) -> VerificationReport:
+    """The m^5 reference: compare every (t, t2, s, s2, w) tuple.
+
+    The fallback of verify_diagonalization when some way is not
+    bijective, and its test oracle.
+    """
+    m = sp.field.order
+    table = layout_table(sp)
+    diff = _difference_table(sp.field)
+    pred = _predictor(sp)
+    violations: list[dict] = []
+    for t in range(m):
+        for t2 in range(m):
+            if t2 != t:
+                violations += _pair_violations(table, t, t2, pred(t, t2), diff)
+    return VerificationReport(checked=m ** 3 * (m - 1), violations=violations)
+
+
+#: Elements per block of (domain pair, set, way) in the m^4 verifier;
+#: bounds its temporaries to a few hundred KiB whatever the field order.
+_BLOCK = 1 << 15
 
 
 def verify_diagonalization(sp: SkewParams) -> VerificationReport:
@@ -141,70 +229,56 @@ def verify_diagonalization(sp: SkewParams) -> VerificationReport:
     set indices (s, s2), counts the ways w where both map to the same
     physical set.  Any count other than one is a violation, as is any
     enumerated witness that disagrees with the closed-form solver.
+
+    When every (domain, way) is bijective, exactly one set of domain t2
+    shares way w's cell with domain t's set s: s2(s, w) =
+    inv[t2, table[t, s, w], w], with inv the per-way inverse map.  A
+    pair is then checked in m^2 steps, one per (s, w): the solver must
+    give w for (s, s2(s, w)).  If it does for every w, then w -> s2(s, w)
+    is injective (two ways reaching the same s2 would need two answers
+    from one solver call), so every (s, s2) meets in exactly one way and
+    that way is the solver's: the direct comparison would find nothing.
+    A pair that fails is re-run through the direct comparison, and a
+    table with a non-bijective way is checked directly throughout, so
+    the violations and their order are those of
+    _verify_diagonalization_direct.
     """
     m = sp.field.order
     table = layout_table(sp)
+    if not _way_bijective(table).all():
+        return _verify_diagonalization_direct(sp)
     diff = _difference_table(sp.field)
-    violations: list[dict] = []
-    checked = 0
-    # The closed form factors through the domain and set-index
-    # differences, so one prediction vector per domain difference
-    # suffices (the full per-tuple agreement for small orders is pinned
-    # separately by the solver tests).  -1 marks an unsolvable entry,
-    # which can occur when the arithmetic is not a field.
-    pred_cache: dict[int, np.ndarray] = {}
+    pred = _predictor(sp)
+    ways = np.arange(m)
+    inv = np.empty((m, m, m), dtype=np.int16)
     for t in range(m):
-        rows_t = table[t]
-        for t2 in range(m):
-            if t2 == t:
-                continue
-            eq = rows_t[:, None, :] == table[t2][None, :, :]
-            counts = eq.sum(axis=2, dtype=np.int16)
-            checked += m * m
-            delta = sp.field.sub(t, t2)
-            pred_by_diff = pred_cache.get(delta)
-            if pred_by_diff is None:
-                pred_by_diff = np.empty(m, dtype=np.int64)
-                for d in range(m):
-                    try:
-                        pred_by_diff[d] = solve_intersection_way(sp, t, t2, 0, d)
-                    except (ValueError, ZeroDivisionError):
-                        pred_by_diff[d] = -1
-                pred_cache[delta] = pred_by_diff
-            for s, s2 in np.argwhere(counts != 1):
-                violations.append(
-                    {
-                        "kind": "intersection-count",
-                        "t": t,
-                        "t2": t2,
-                        "s": int(s),
-                        "s2": int(s2),
-                        "count": int(counts[s, s2]),
-                    }
-                )
-            witness = eq.argmax(axis=2)
-            mismatch = (counts == 1) & (witness != pred_by_diff[diff])
-            for s, s2 in np.argwhere(mismatch):
-                violations.append(
-                    {
-                        "kind": "witness-mismatch",
-                        "t": t,
-                        "t2": t2,
-                        "s": int(s),
-                        "s2": int(s2),
-                        "enumerated": int(witness[s, s2]),
-                        "solved": int(pred_by_diff[diff[s, s2]]),
-                    }
-                )
-    return VerificationReport(checked=checked, violations=violations)
+        inv[t, table[t], ways] = np.arange(m)[:, None]
+    # flat indices: inv[t2, p, w] at (t2*m + p)*m + w, diff[s, s2] at s*m + s2
+    inv, flat_diff = inv.reshape(-1), diff.reshape(-1)
+    set_rows = np.arange(m)[:, None] * m
+    step = max(1, _BLOCK // (m * m))
+    violations: list[dict] = []
+    for t in range(m):
+        cells = table[t].astype(np.intp) * m + ways
+        others = [t2 for t2 in range(m) if t2 != t]
+        for i in range(0, m - 1, step):
+            chunk = others[i:i + step]
+            # s2[k, s, w]: the set of domain chunk[k] meeting (t, s) in way w
+            s2 = inv[np.array(chunk)[:, None, None] * (m * m) + cells]
+            d = flat_diff[set_rows + s2]
+            preds = np.concatenate([pred(t, t2) for t2 in chunk])
+            k = np.arange(len(chunk))[:, None, None] * m
+            clean = (preds[k + d] == ways).all(axis=(1, 2))
+            for j in np.flatnonzero(~clean):
+                t2 = chunk[j]
+                violations += _pair_violations(table, t, t2, pred(t, t2), diff)
+    return VerificationReport(checked=m ** 3 * (m - 1), violations=violations)
 
 
 def verify_way_bijection(sp: SkewParams) -> VerificationReport:
     """Check that s -> physical set is a permutation for every (domain, way)."""
     m = sp.field.order
-    table = layout_table(sp)
-    ordered = np.sort(table, axis=1)
-    ok = (ordered == np.arange(m, dtype=table.dtype)[None, :, None]).all(axis=1)
+    ok = _way_bijective(layout_table(sp))
     violations = [
         {"kind": "not-bijective", "t": int(t), "w": int(w)}
         for t, w in np.argwhere(~ok)

@@ -8,7 +8,8 @@ placement.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+import math
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 
 class TraceRecord(NamedTuple):
@@ -25,8 +26,11 @@ class TraceError(ValueError):
         self.line_number = line_number
 
 
-def _records(lines: Iterable[str]) -> Iterator[TraceRecord]:
-    """Parse lines one at a time; a malformed line raises TraceError."""
+def _records(lines: Iterable[str],
+             domains: Optional[int] = None) -> Iterator[TraceRecord]:
+    """Parse lines one at a time; a malformed line, or a domain id of
+    ``domains`` or more, raises TraceError."""
+    limit = math.inf if domains is None else domains
     for lineno, raw in enumerate(lines, start=1):
         text = raw.split("#", 1)[0].strip()
         if not text:
@@ -41,6 +45,9 @@ def _records(lines: Iterable[str]) -> Iterator[TraceRecord]:
             raise TraceError(lineno, f"bad domain id {dom_s!r}") from None
         if domain < 0:
             raise TraceError(lineno, f"domain id must be nonnegative, got {domain}")
+        if domain >= limit:
+            raise TraceError(
+                lineno, f"domain id {domain} out of range for {domains} domains")
         op = op.upper()
         if op not in ("R", "W"):
             raise TraceError(lineno, f"operation must be R or W, got {fields[1]!r}")
@@ -53,16 +60,18 @@ def _records(lines: Iterable[str]) -> Iterator[TraceRecord]:
         yield TraceRecord(domain, op, addr)
 
 
-def parse_trace_lines(lines: Iterable[str]) -> list[TraceRecord]:
-    return list(_records(lines))
+def parse_trace_lines(lines: Iterable[str],
+                      domains: Optional[int] = None) -> list[TraceRecord]:
+    return list(_records(lines, domains))
 
 
-def load_trace(path) -> Iterator[TraceRecord]:
+def load_trace(path, domains: Optional[int] = None) -> Iterator[TraceRecord]:
     """Stream the records of a trace file.  The file opens when the
     first record is requested and closes when the records run out or
-    the iterator is discarded."""
+    the iterator is discarded.  ``domains``, when given, bounds the
+    domain ids, so an out-of-range id is reported with its line."""
     with open(path, "r", encoding="utf-8") as fh:
-        yield from _records(fh)
+        yield from _records(fh, domains)
 
 
 def replay(cache, records: Iterable[TraceRecord]) -> dict[int, dict[str, int]]:

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewcache import (
     CacheConfig,
@@ -15,6 +17,7 @@ from skewcache import (
     galois_config,
     stacked_config,
 )
+from skewcache.cache import KINDS
 from skewcache.field import MAX_CELLS
 
 GF4 = FieldSpec.binary(2)
@@ -58,6 +61,30 @@ class TestAddressSplit:
             tag, s, _ = decompose_address(cfg, addr)
             assert (tag * 4 + s) << 6 == addr & ~0x3F
             assert s == (addr >> 6) & 0x3
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_round_trip_property(self, data):
+        kind = data.draw(st.sampled_from(KINDS), label="kind")
+        offset = data.draw(st.integers(0, 12), label="offset bits")
+        if kind == "conventional":
+            cfg = conventional_config(2 ** data.draw(st.integers(0, 8)),
+                                      data.draw(st.integers(1, 8)), "lru", offset)
+        else:
+            f = data.draw(st.sampled_from([FieldSpec.binary(2), FieldSpec.prime(5),
+                                           FieldSpec.binary(3)]))
+            sp = SkewParams(f)
+            cfg = (galois_config(sp, offset) if kind == "galois"
+                   else stacked_config(sp, data.draw(st.integers(0, 3)), offset))
+        addr = data.draw(st.integers(0, 2 ** 80), label="addr")
+        tag, set_index, inst = decompose_address(cfg, addr)
+        assert compose_address(cfg, set_index, tag, inst) == addr >> offset << offset
+        set_index = data.draw(st.integers(0, cfg.num_sets - 1))
+        inst = data.draw(st.integers(0, cfg.num_instances - 1))
+        tag = data.draw(st.integers(0, 2 ** 64))
+        addr = compose_address(cfg, set_index, tag, inst)
+        assert decompose_address(cfg, addr) == (tag, set_index, inst)
+        assert decompose_address(cfg, addr | ((1 << offset) - 1)) == (tag, set_index, inst)
 
     def test_negative_address_rejected(self):
         cfg = conventional_config(4, 4)

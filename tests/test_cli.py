@@ -52,6 +52,14 @@ class TestVerifyCommand:
         assert rows[1] == ["diagonalization", "192", "0"]
         assert rows[2] == ["way_bijection", "16", "0"]
 
+    def test_gf128_exhaustive(self, tmp_path):
+        out = tmp_path / "gf128.json"
+        code = main(["verify", "--n", "7", "--no-timestamp", "--output", str(out)])
+        assert code == 0
+        diag = json.loads(out.read_text())["diagonalization"]
+        assert diag["checked"] == 128 ** 3 * 127 == 266_338_304
+        assert diag["violation_count"] == 0
+
 
 class TestSimulateCommand:
     def test_empty_trace(self, tmp_path, capsys):
@@ -85,6 +93,13 @@ class TestSimulateCommand:
         code, _, err = run_cli(capsys, "simulate", str(trace), "--n", "2")
         assert code == 2
         assert "domain" in err
+
+    def test_out_of_range_domain_names_its_line(self, tmp_path, capsys):
+        trace = tmp_path / "dom.trace"
+        trace.write_text("0 R 0x40\n# comment\n9 R 0x40\n1 R zz\n")
+        code, _, err = run_cli(capsys, "simulate", str(trace), "--n", "2")
+        assert code == 2
+        assert err == "error: trace line 3: domain id 9 out of range for 4 domains\n"
 
     def test_missing_trace_file(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "/nonexistent.trace")

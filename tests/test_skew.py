@@ -14,8 +14,9 @@ from skewcache import (
     verify_diagonalization,
     verify_way_bijection,
 )
+from skewcache import skew
 from skewcache.field import MAX_CELLS
-from skewcache.skew import layout_table
+from skewcache.skew import _verify_diagonalization_direct, layout_table
 
 from support import brute_force_witnesses, small_fields
 
@@ -210,3 +211,72 @@ class TestVerifiers:
         assert d["ok"] is True
         assert d["checked"] == 192
         assert d["violation_count"] == 0
+
+
+def _random_params(f, rng):
+    m = f.order
+    return SkewParams(f, a=rng.randrange(1, m), b=rng.randrange(1, m),
+                      c=rng.randrange(m))
+
+
+class TestFastVerifierMatchesDirect:
+    """The m^4 verifier against the m^5 direct comparison it replaces."""
+
+    @pytest.mark.parametrize("f", small_fields(16))
+    def test_clean_fields(self, f):
+        rng = random.Random(f.order)
+        for sp in [SkewParams(f)] + [_random_params(f, rng) for _ in range(4)]:
+            fast = verify_diagonalization(sp)
+            assert fast.to_dict() == _verify_diagonalization_direct(sp).to_dict()
+            assert fast.checked == f.order ** 3 * (f.order - 1)
+
+    @pytest.mark.parametrize("n,a,bijective,expected", [
+        (2, 1, True, 64), (2, 2, False, 64),
+        (4, 1, True, 28_672), (4, 2, False, 28_672),
+    ])
+    def test_broken_ring(self, n, a, bijective, expected):
+        # a=1 keeps every way bijective, so failing pairs are re-run one
+        # by one; a=2 breaks bijection and the whole table is compared
+        sp = SkewParams(BrokenModularRing(p=2, n=n, modulus=FieldSpec.binary(n).modulus),
+                        a=a)
+        assert verify_way_bijection(sp).ok is bijective
+        fast = verify_diagonalization(sp)
+        assert len(fast.violations) == expected
+        assert fast.to_dict() == _verify_diagonalization_direct(sp).to_dict()
+
+    def test_wrong_solver_reported_alike(self, monkeypatch):
+        sp = SkewParams(FieldSpec.binary(3), a=3, b=5, c=6)
+        f = sp.field
+        solve = skew.solve_intersection_way
+
+        def off_by_one(sp_, t, t2, s, s2):
+            w = solve(sp_, t, t2, s, s2)
+            # the verifiers ask for (s, s2) = (0, d); break d = 3 at delta 1
+            if f.sub(t, t2) == 1 and f.sub(s2, s) == 3:
+                return (w + 1) % f.order
+            return w
+
+        monkeypatch.setattr(skew, "solve_intersection_way", off_by_one)
+        fast = verify_diagonalization(sp)
+        assert fast.to_dict() == _verify_diagonalization_direct(sp).to_dict()
+        # 8 ordered pairs with t - t2 = 1, 8 (s, s2) pairs with s2 - s = 3 each
+        assert len(fast.violations) == 64
+        assert {v["kind"] for v in fast.violations} == {"witness-mismatch"}
+        assert all(v["solved"] == (v["enumerated"] + 1) % 8 for v in fast.violations)
+
+
+_TABLE_FIELDS = [FieldSpec.binary(n) for n in range(2, 6)] + [
+    FieldSpec.prime(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)]
+
+
+@pytest.mark.parametrize("sp", [SkewParams(f, a=f.order - 1, b=f.order - 1, c=1)
+                                for f in _TABLE_FIELDS] + [
+    SkewParams(BrokenModularRing(p=2, n=3, modulus=0b1011), a=2, b=3, c=5)])
+def test_layout_table_matches_permute(sp):
+    m = sp.field.order
+    table = layout_table(sp)
+    assert table.shape == (m, m, m)
+    for t in range(m):
+        for s in range(m):
+            for w in range(m):
+                assert table[t, s, w] == permute(sp, t, s, w)

@@ -1,6 +1,8 @@
 """Trace format parsing and replay."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewcache import (
     FieldSpec,
@@ -46,6 +48,63 @@ def test_parse_reports_line_numbers():
     with pytest.raises(TraceError) as err:
         parse_trace_lines(["-1 R 0x40"])
     assert err.value.line_number == 1
+
+
+DOMAIN_MAX = 2 ** 40
+records_st = st.lists(st.tuples(st.integers(0, DOMAIN_MAX), st.sampled_from("RW"),
+                                 st.integers(0, 2 ** 70)), max_size=20)
+noise_st = st.sampled_from(["", "   ", "# comment", "  # indented 0 R 40", "\t"])
+
+
+@st.composite
+def _record_line(draw, rec):
+    domain, op, addr = rec
+    op = draw(st.sampled_from([op, op.lower()]))
+    addr_s = draw(st.sampled_from([f"{addr:x}", f"0x{addr:X}", f"{addr:X}"]))
+    tail = draw(st.sampled_from(["", "  # trailing", "\t#x"]))
+    return f"{draw(st.sampled_from(['', '  ']))}{domain} {op}\t{addr_s}{tail}"
+
+
+@st.composite
+def _trace(draw):
+    """(records, lines): formatted records with noise lines in between."""
+    records = draw(records_st)
+    lines = []
+    for rec in records:
+        lines += draw(st.lists(noise_st, max_size=2))
+        lines.append(draw(_record_line(rec)))
+    lines += draw(st.lists(noise_st, max_size=2))
+    return records, lines
+
+
+@settings(max_examples=100, deadline=None)
+@given(_trace())
+def test_formatted_records_parse_back(trace):
+    records, lines = trace
+    assert parse_trace_lines(lines) == records
+
+
+BAD_LINES = ["0 R", "0 R 40 1", "x R 40", "1.0 R 40", "-3 R 40", "0 Q 40",
+             "0 R zz", "0 R 0xg", "0 R -40", f"{DOMAIN_MAX + 1} W 40"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_trace(), st.data())
+def test_malformed_line_reports_its_number(trace, data):
+    _, lines = trace
+    at = data.draw(st.integers(0, len(lines)), label="position")
+    bad = data.draw(st.sampled_from(BAD_LINES), label="bad line")
+    lines = lines[:at] + [bad] + lines[at:]
+    with pytest.raises(TraceError) as err:
+        parse_trace_lines(lines, domains=DOMAIN_MAX + 1)
+    assert err.value.line_number == at + 1
+
+
+def test_domain_limit_names_line():
+    with pytest.raises(TraceError, match="trace line 3: domain id 4 out of "
+                                         "range for 4 domains"):
+        parse_trace_lines(["0 R 40", "", "4 W 40"], domains=4)
+    assert parse_trace_lines(["3 R 40"], domains=4) == [(3, "R", 0x40)]
 
 
 def test_load_trace_streams_the_parsed_records(tmp_path):
