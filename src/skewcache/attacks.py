@@ -9,6 +9,16 @@ tp/fp/fn/tn, and keep the optional trial row; finally build the report.
 Trials are independent and may be distributed across processes by
 splitting the trial range.
 
+A kind may split off its first steps as a ``prefix``: galois-pp its
+prime and the victim's warm-up, collusion the prober's fill.  On a
+flushed cache these steps find free cells for every line, so they draw
+no random number and end in the same state in every trial.  The driver
+plays the prefix once on a scratch cache; if the random stream did not
+move and replacement is not LRU, each trial restores that snapshot
+after its flush instead of replaying the steps.  Otherwise (a prefix
+that draws, or LRU, whose stamps run on the cache's own clock) each
+trial replays the prefix.  Baseline prime-probe has no prefix.
+
 Each kind supplies only its protocol steps:
 
 * baseline prime-probe (conventional cache): the adversary primes one
@@ -168,22 +178,41 @@ def _trial_active(rng: random.Random, probability: float) -> bool:
     return rng.random() < probability
 
 
-def _run_trials(sc: AttackScenario, protocol, definition: str, **extras) -> DetectionReport:
+def _prefix_snapshot(sc: AttackScenario, prefix):
+    """The state ``prefix`` leaves on a flushed cache, or None when every
+    trial must replay it: under LRU, or when it draws a random number."""
+    if prefix is None or sc.cache.replacement == "lru":
+        return None
+    scratch = build_cache(sc.cache, sc.seed)
+    before = scratch.rng.getstate()
+    prefix(scratch)
+    return scratch.snapshot() if scratch.rng.getstate() == before else None
+
+
+def _run_trials(sc: AttackScenario, protocol, definition: str, prefix=None,
+                **extras) -> DetectionReport:
     """Run the scenario's trials of one protocol and report the tally.
 
-    ``protocol(cache, active)`` plays one trial on the freshly flushed
-    cache and returns ``(detected, correct, row_fields)``: ``correct``
-    says the inference names the victim's set (it equals ``detected``
-    for the prime-probe kinds), and ``row_fields`` extend the trial row.
-    Each trial adds to exactly one confusion cell.
+    ``prefix(cache)``, if given, plays the trial's first steps on the
+    freshly flushed cache, from a snapshot when it can (module
+    docstring).  ``protocol(cache, active)`` then plays the rest and
+    returns ``(detected, correct, row_fields)``: ``correct`` says the
+    inference names the victim's set (it equals ``detected`` for the
+    prime-probe kinds), and ``row_fields`` extend the trial row.  Each
+    trial adds to exactly one confusion cell.
     """
     cache = build_cache(sc.cache, sc.seed)
+    snapshot = _prefix_snapshot(sc, prefix)
     tp = fp = fn = tn = 0
     rows = [] if sc.record_trials else None
     for trial in range(sc.trials):
         cache.reseed(sc.seed + trial)
         active = _trial_active(cache.rng, sc.victim_access_probability)
         cache.flush()
+        if snapshot is not None:
+            cache.restore(snapshot)
+        elif prefix is not None:
+            prefix(cache)
         detected, correct, row_fields = protocol(cache, active)
         if active and correct:
             tp += 1
@@ -218,21 +247,15 @@ def fill_domain_set(cache, domain: int, addrs, max_rounds: int = 4096) -> int:
     """Access the given same-set addresses until all are resident.
 
     Under random replacement a fill can evict a line of its own group,
-    so after the initial pass the lines are re-probed (misses refill)
-    until one complete pass hits everywhere.  Uses only the access
-    interface.  Returns the number of probe passes used; the cap only
-    guards against a broken cache model, since the loop terminates with
-    probability one.
+    so after the initial pass the lines are re-probed in order until one
+    complete pass hits everywhere; a miss refills and may disturb the
+    rest of the group, so the pass restarts there rather than probing
+    on.  The cache plays the passes with its hits in bulk
+    (``fill_group``), with the same outcome as probing line by line.
+    Returns the number of probe passes used; the cap only guards against
+    a broken cache model, since the loop terminates with probability one.
     """
-    probe = cache.probe_one
-    for a in addrs:
-        cache.access(domain, a)
-    for round_no in range(1, max_rounds + 1):
-        # all() short-circuits: a miss refills and may disturb the rest
-        # of the group, so the pass restarts rather than probing on
-        if all(probe(domain, a) for a in addrs):
-            return round_no
-    raise RuntimeError(f"set not resident after {max_rounds} probe passes")
+    return cache.fill_group(domain, addrs, max_rounds)
 
 
 def run_baseline_prime_probe(sc: AttackScenario) -> DetectionReport:
@@ -280,11 +303,13 @@ def run_galois_prime_probe(sc: AttackScenario) -> DetectionReport:
     target_addr = compose_address(cfg, sc.victim_target_set, _TARGET_TAG)
     way_miss_counts = [0] * m
 
-    def trial(cache, active):
+    def prime_and_warm(cache):
         for a in prime_addrs:
             cache.access(adv, a)
         for a in warm_addrs:
             cache.access(vic, a)
+
+    def trial(cache, active):
         if active:
             cache.access(vic, target_addr)
         missed_way = -1
@@ -300,6 +325,7 @@ def run_galois_prime_probe(sc: AttackScenario) -> DetectionReport:
         sc, trial,
         "at least one miss while re-accessing the primed set "
         "(probe stops at the first miss)",
+        prefix=prime_and_warm,
         way_miss_counts=way_miss_counts,
     )
 
@@ -339,16 +365,18 @@ def run_collusion_attack(sc: AttackScenario) -> DetectionReport:
     ]
     confusion = [[0] * m for _ in range(m)]
 
-    def trial(cache, active):
+    def prime(cache):
         access = cache.access
-        probe = cache.probe_one
         for group in prime_addrs:
             for a in group:
                 access(prober, a)
+
+    def trial(cache, active):
+        probe = cache.probe_one
         for group in squeeze_addrs:
             fill_domain_set(cache, squeezer, group)
         if active:
-            access(vic, target_addr)
+            cache.access(vic, target_addr)
         fired_set = -1
         for s in range(m):
             group = prime_addrs[s]
@@ -369,6 +397,7 @@ def run_collusion_attack(sc: AttackScenario) -> DetectionReport:
         sc, trial,
         "some prober set misses in every way and its surviving cell maps to "
         "the true victim set",
+        prefix=prime,
         per_set_confusion=confusion,
     )
 

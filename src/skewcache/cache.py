@@ -31,6 +31,12 @@ State is mutable and single-owner; run concurrent experiments on
 separate instances with separate seeds.  ``flush`` invalidates every
 line but leaves the random stream position untouched, so replays that
 span flushes stay reproducible.
+
+Two exact shortcuts serve the attack trials.  ``fill_group`` plays the
+probe passes of a group fill with its hits counted in bulk.
+``snapshot`` and ``restore`` put back the state that steps drawing no
+random number leave on a flushed cache, without replaying them (not
+under LRU).
 """
 
 from __future__ import annotations
@@ -66,6 +72,12 @@ class AccessOutcome(NamedTuple):
 class ProbeObservation(NamedTuple):
     addr: int
     hit: bool
+
+
+class CacheSnapshot(NamedTuple):
+    cells: tuple
+    #: per-domain stats rows, slots _HITS.._SELF_EVICTIONS
+    stats: dict
 
 
 @dataclass(frozen=True)
@@ -308,6 +320,55 @@ class _BaseCache:
             self._stamps[idx] = self._clock
         return False, idx, w, victim
 
+    def fill_group(self, domain: int, addrs, max_rounds: int = 4096) -> int:
+        """Access each address once, then probe the group in passes until
+        one pass hits everywhere; returns the number of probe passes.
+
+        A pass probes in order and restarts at its first miss, since
+        that miss's refill may evict a line of the group.  Hits draw no
+        random number, so a pass is played in bulk: every line before
+        the first one whose last-placed cell no longer holds it counts
+        as a hit in one step, and only that line goes through the
+        lookup.  Passes, cells, stats, LRU stamps and the random stream
+        all end as the probe-by-probe loop leaves them.  The cap only
+        guards against a broken cache model.
+        """
+        off, span = self._off, self._span
+        access = self._access_line
+        lines, keys, placed = [], [], []
+        for a in addrs:
+            if a < 0:
+                raise ValueError("addresses are unsigned")
+            block = a >> off
+            line = (block % span, block // span)
+            lines.append(line)
+            keys.append((domain, line[1]))
+            placed.append(access(domain, *line)[1])
+        cells = self._cells
+        n = len(lines)
+        for passes in range(1, max_rounds + 1):
+            i = 0
+            while True:
+                j = i
+                while j < n and cells[placed[j]] == keys[j]:
+                    j += 1
+                if j > i:
+                    self._stats[domain][_HITS] += j - i
+                    if self._lru:
+                        for idx in placed[i:j]:
+                            self._clock += 1
+                            self._stamps[idx] = self._clock
+                if j == n:
+                    return passes
+                # gone from its cell: the full lookup refills it (or hits
+                # a copy elsewhere in the row, which only a layout that is
+                # not a per-way bijection can hold)
+                hit, placed[j], _, _ = access(domain, *lines[j])
+                if not hit:
+                    break
+                i = j + 1
+        raise RuntimeError(f"set not resident after {max_rounds} probe passes")
+
     def flush(self, reset_stats: bool = False) -> None:
         size = len(self._cells)
         self._cells = [None] * size
@@ -316,24 +377,35 @@ class _BaseCache:
         if reset_stats:
             self.reset_stats()
 
+    def snapshot(self) -> CacheSnapshot:
+        """The cells and the stats so far, for ``restore``.  Not under
+        LRU, whose stamps run on the cache's own clock."""
+        if self._lru:
+            raise ValueError("an LRU cache cannot be snapshotted")
+        return CacheSnapshot(tuple(self._cells),
+                             {d: tuple(row) for d, row in self._stats.items()})
+
+    def restore(self, snap: CacheSnapshot) -> None:
+        """Set the cells to the snapshot's and add its stats to this
+        cache's.  A snapshot taken after some steps on a flushed,
+        zero-stats cache thus stands in for replaying those steps after
+        a flush, provided they drew no random number."""
+        if self._lru:
+            raise ValueError("an LRU cache cannot be restored")
+        if len(snap.cells) != len(self._cells):
+            raise ValueError("snapshot is of a cache with another geometry")
+        self._cells = list(snap.cells)
+        for d, delta in snap.stats.items():
+            row = self._stats.get(d)
+            if row is None:
+                row = self._stats[d] = [0, 0, 0, 0]
+            for slot, v in enumerate(delta):
+                row[slot] += v
+
 
 class GaloisCache(_BaseCache):
     """Square skewed cache: domain t finds set s at the cells
     permute(t, s, w) * m + w, one per way w."""
-
-    # test/harness backdoor, not part of the observation interface
-    def line_at(self, physical_set: int, way: int) -> Optional[tuple]:
-        return self._cells[physical_set * self._ways + way]
-
-    def domain_lines_in_set(self, domain: int, set_index: int) -> int:
-        """How many candidate cells of (domain, set) hold that domain's lines."""
-        cells = self._cells
-        count = 0
-        for idx in self._row(domain, set_index):
-            cell = cells[idx]
-            if cell is not None and cell[0] == domain:
-                count += 1
-        return count
 
 
 class ConventionalCache(_BaseCache):

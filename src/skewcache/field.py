@@ -286,10 +286,6 @@ class BinaryMatrix:
             r |= ((self.cols[j] >> i) & 1) << j
         return r
 
-    @property
-    def is_identity(self) -> bool:
-        return all(self.cols[j] == 1 << j for j in range(self.size))
-
 
 def const_mul_matrix(f: FieldSpec, k: int) -> BinaryMatrix:
     """The GF(2)-linear map x -> k*x in a binary field, as a matrix.

@@ -4,7 +4,9 @@ Everything here deliberately avoids the library's arithmetic paths:
 multiplication is schoolbook carry-less multiply followed by long
 division, inverses and intersection witnesses come from exhaustive
 search, so the implementations under test are checked against routes
-they do not share code with.
+they do not share code with.  The cache helpers read simulator state
+that the observation interface hides, and the probe-by-probe group
+fill is the reference for the cache's bulk ``fill_group``.
 """
 
 import numpy as np
@@ -51,6 +53,22 @@ def brute_force_witnesses(sp, t, t2, s, s2) -> list[int]:
     """All ways where two domain sets map to the same physical set."""
     m = sp.field.order
     return [w for w in range(m) if permute(sp, t, s, w) == permute(sp, t2, s2, w)]
+
+
+class BrokenModularRing(FieldSpec):
+    """Plain integers mod 2^n passed off as a field (negative control)."""
+
+    def add(self, x, y):
+        return (x + y) % self.order
+
+    def sub(self, x, y):
+        return (x - y) % self.order
+
+    def mul(self, x, y):
+        return (x * y) % self.order
+
+    def inv(self, x):
+        return pow(x, -1, self.order)
 
 
 def small_fields(max_order: int) -> list[FieldSpec]:
@@ -100,3 +118,36 @@ def check_field_axioms(f: FieldSpec) -> None:
     for x in range(1, q):
         assert f.mul(x, f.inv(x)) == 1, f"{f!r}: inv({x}) wrong"
     assert (mul[1:, 1:] != 0).all(), f"{f!r}: zero divisors present"
+
+
+def is_identity(matrix) -> bool:
+    """Whether a BinaryMatrix maps every basis vector to itself."""
+    return all(matrix.cols[j] == 1 << j for j in range(matrix.size))
+
+
+def line_at(cache, physical_set: int, way: int):
+    """The (domain, tag) line in a cell of a square cache, or None."""
+    return cache._cells[physical_set * cache.cfg.num_ways + way]
+
+
+def domain_lines_in_set(cache, domain: int, set_index: int) -> int:
+    """How many candidate cells of (domain, set) hold that domain's lines."""
+    count = 0
+    for idx in cache._row(domain, set_index):
+        cell = cache._cells[idx]
+        if cell is not None and cell[0] == domain:
+            count += 1
+    return count
+
+
+def fill_group_oracle(cache, domain: int, addrs, max_rounds: int = 4096) -> int:
+    """Probe-by-probe group fill through the access interface only: access
+    every address, then probe the group in order, restarting the pass at
+    each miss, until one pass hits everywhere; returns the pass count."""
+    probe = cache.probe_one
+    for a in addrs:
+        cache.access(domain, a)
+    for round_no in range(1, max_rounds + 1):
+        if all(probe(domain, a) for a in addrs):
+            return round_no
+    raise RuntimeError(f"set not resident after {max_rounds} probe passes")

@@ -39,6 +39,7 @@ from skewcache.cli import main as cli_main
 
 from support import (
     MODULUS_256,
+    BrokenModularRing,
     brute_force_witnesses,
     check_field_axioms,
     small_fields,
@@ -82,22 +83,6 @@ def structural_sweep():
             bij = verify_way_bijection(sp)
             results.append((n, sp, diag, bij))
     return results, diag_elapsed
-
-
-class BrokenModularRing(FieldSpec):
-    """Integers mod 2^n in place of the field (negative control)."""
-
-    def add(self, x, y):
-        return (x + y) % self.order
-
-    def sub(self, x, y):
-        return (x - y) % self.order
-
-    def mul(self, x, y):
-        return (x * y) % self.order
-
-    def inv(self, x):
-        return pow(x, -1, self.order)
 
 
 def test_criterion_01_diagonalization(structural_sweep):
@@ -168,7 +153,9 @@ def test_criterion_05_collusion_attack():
     for n in (2, 3):
         sp = SkewParams(FieldSpec.binary(n))
         sc = default_scenario("collusion", galois_config(sp), MC_TRIALS, seed=43)
+        t0 = time.monotonic()
         report = run_collusion_attack(sc)
+        elapsed = time.monotonic() - t0
         expected = 1 / 2 ** n
         bound = three_sigma(expected, MC_TRIALS)
         assert abs(report.detection_rate - expected) <= bound, (
@@ -179,7 +166,7 @@ def test_criterion_05_collusion_attack():
         assert report.per_set_confusion[0][0] == fired
         assert report.false_positives == 0
         lines.append(f"n={n}: {report.detection_rate:.4f}~{expected:.4f} "
-                     f"(+/-{bound:.4f})")
+                     f"(+/-{bound:.4f}, {elapsed:.1f}s)")
     # false positives measured directly: victim never runs
     sp = SkewParams(FieldSpec.binary(2))
     quiet = AttackScenario(
@@ -187,12 +174,14 @@ def test_criterion_05_collusion_attack():
         adversary_domains=(1, 0), victim_target_set=0, trials=20_000, seed=47,
         victim_access_probability=0.0,
     )
+    t0 = time.monotonic()
     quiet_report = run_collusion_attack(quiet)
+    elapsed = time.monotonic() - t0
     assert quiet_report.false_positives == 0
     assert quiet_report.true_negatives == quiet_report.trials
     print(f"\n[criterion 05] PASS collusion: " + "; ".join(lines)
           + "; inference exact on every firing trial; 0 false positives in "
-          f"{quiet_report.trials} victim-silent trials")
+          f"{quiet_report.trials} victim-silent trials ({elapsed:.1f}s)")
 
 
 def test_criterion_06_baseline_contrast():

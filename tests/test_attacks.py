@@ -29,7 +29,11 @@ from skewcache import (
     sweep_detection_vs_field,
     wilson_interval,
 )
+from skewcache import attacks
 from skewcache.attacks import _run_trials
+from skewcache.cache import _BaseCache
+
+from support import domain_lines_in_set, line_at
 
 GF4 = FieldSpec.binary(2)
 SP4 = SkewParams(GF4)
@@ -187,7 +191,7 @@ class TestFillDomainSet:
                 cache.access(1, compose_address(cfg, s, t))
         addrs = [compose_address(cfg, 2, 0x500 + t) for t in range(4)]
         fill_domain_set(cache, 0, addrs)
-        assert cache.domain_lines_in_set(0, 2) == 4
+        assert domain_lines_in_set(cache, 0, 2) == 4
         assert all(ob.hit for ob in cache.observe_probe(0, addrs))
 
 
@@ -241,12 +245,12 @@ class TestCollusion:
                 cache, 0, [compose_address(cfg, s, 0x600 + t) for t in range(4)]
             )
         for s in range(4):
-            assert cache.domain_lines_in_set(1, s) == 1
+            assert domain_lines_in_set(cache, 1, s) == 1
             # the survivor sits exactly on the crossing with the skipped set
             live_way = solve_intersection_way(sp, 1, 0, s, skip)
             surviving_ways = []
             for w in range(4):
-                line = cache.line_at(permute(sp, 1, s, w), w)
+                line = line_at(cache, permute(sp, 1, s, w), w)
                 if line is not None and line[0] == 1:
                     surviving_ways.append(w)
             assert surviving_ways == [live_way]
@@ -287,6 +291,105 @@ class TestCollusion:
         assert counts == (1, 1, 1, 0)
         assert sum(counts) == r.trials
         assert r.detection_rate == 2 / 3
+
+
+def _folded(sc, protocol, definition, prefix=None, **extras):
+    """The trial driver with the prefix played inside the protocol, as
+    every trial did before the snapshot path."""
+    def whole(cache, active):
+        if prefix is not None:
+            prefix(cache)
+        return protocol(cache, active)
+
+    return _run_trials(sc, whole, definition, **extras)
+
+
+def _outcome(report):
+    return report.to_dict(), report.trial_rows
+
+
+def _refuse(*args):
+    raise AssertionError("the snapshot path was taken")
+
+
+class TestTrialPrefix:
+    @pytest.mark.parametrize("kind,sp", [
+        ("galois_pp", SP4),
+        ("galois_pp", SkewParams(FieldSpec.binary(3), a=3, b=5, c=6)),
+        ("galois_pp", SkewParams(FieldSpec.prime(5))),
+        ("galois_pp", SkewParams(FieldSpec.binary(4))),
+        ("collusion", SP4),
+        ("collusion", SkewParams(FieldSpec.binary(3), a=3, b=5, c=6)),
+        ("collusion", SkewParams(FieldSpec.prime(5))),
+    ])
+    @pytest.mark.parametrize("prob", [0.0, 0.5, 1.0])
+    def test_runner_equals_folded_prefix(self, monkeypatch, kind, sp, prob):
+        m = sp.field.order
+        trials = 300 if kind == "galois_pp" else 120
+        for seed in (3, 11):
+            sc = dataclasses.replace(
+                default_scenario(kind, galois_config(sp), trials, seed, prob),
+                victim_target_set=seed % m, record_trials=True)
+            restores = []
+            restore = _BaseCache.restore
+            with monkeypatch.context() as patch:
+                patch.setattr(_BaseCache, "restore",
+                              lambda cache, snap: (restores.append(1), restore(cache, snap)))
+                fast = run_scenario(sc)
+            assert len(restores) == trials
+            with monkeypatch.context() as patch:
+                patch.setattr(attacks, "_run_trials", _folded)
+                patch.setattr(_BaseCache, "restore", _refuse)
+                plain = run_scenario(sc)
+            assert _outcome(fast) == _outcome(plain)
+
+    def test_drawing_prefix_replayed_every_trial(self, monkeypatch):
+        cfg = galois_config(SP4)
+        # five lines in a four-way set: the fifth evicts, drawing a number
+        lines = [compose_address(cfg, 1, t) for t in range(5)]
+        plays = []
+
+        def prefix(cache):
+            plays.append(1)
+            for a in lines:
+                cache.access(1, a)
+
+        def protocol(cache, active):
+            if active:
+                cache.access(2, compose_address(cfg, 1, 0x2FFFF))
+            hits = [cache.probe_one(1, a) for a in lines]
+            return not all(hits), not all(hits), {"hits": hits}
+
+        sc = dataclasses.replace(
+            default_scenario("galois_pp", cfg, trials=200, seed=5,
+                             victim_access_probability=0.5),
+            record_trials=True)
+        monkeypatch.setattr(_BaseCache, "restore", _refuse)
+        got = _run_trials(sc, protocol, "scripted", prefix=prefix)
+        assert len(plays) == 1 + sc.trials  # the scratch run, then each trial
+        assert _outcome(got) == _outcome(_folded(sc, protocol, "scripted", prefix=prefix))
+
+    def test_lru_never_snapshots(self, monkeypatch):
+        sc = baseline_scenario(victim_access_probability=0.5, record_trials=True)
+        cfg = sc.cache
+        prime = [compose_address(cfg, 0, t) for t in range(4)]
+        victim = compose_address(cfg, 0, 0x2FFFF)
+
+        def prefix(cache):
+            for a in prime:
+                cache.access(1, a)
+
+        def protocol(cache, active):
+            if active:
+                cache.access(2, victim)
+            detected = not all(cache.probe_one(1, a) for a in prime)
+            return detected, detected, {}
+
+        monkeypatch.setattr(_BaseCache, "snapshot", _refuse)
+        monkeypatch.setattr(_BaseCache, "restore", _refuse)
+        got = _run_trials(sc, protocol, "scripted", prefix=prefix)
+        assert _outcome(got) == _outcome(_folded(sc, protocol, "scripted", prefix=prefix))
+        assert 0 < got.true_positives < sc.trials
 
 
 class TestSweepAndReportPlumbing:

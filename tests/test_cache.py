@@ -20,6 +20,8 @@ from skewcache import (
 from skewcache.cache import KINDS
 from skewcache.field import MAX_CELLS
 
+from support import BrokenModularRing, fill_group_oracle, line_at
+
 GF4 = FieldSpec.binary(2)
 SP4 = SkewParams(GF4)
 
@@ -250,7 +252,7 @@ class TestFlushAndDeterminism:
         cache.flush()
         assert not any(ob.hit for ob in cache.observe_probe(0, addrs))
         cache.flush()  # idempotent
-        assert cache.line_at(0, 0) is None
+        assert line_at(cache, 0, 0) is None
 
     def test_flush_keeps_stats_unless_asked(self):
         cache = gf4_cache()
@@ -357,3 +359,97 @@ class TestStacked:
         cache.access(0, compose_address(cfg, 0, 0, instance=0))
         cache.access(0, compose_address(cfg, 0, 0, instance=1))
         assert cache.stats()[0]["misses"] == 2
+
+
+# The bulk group fill against the probe-by-probe oracle: GF(2^2..2^4)
+# and GF(5) layouts, conventional caches under both replacements, and a
+# mod-4 ring whose a=2 layout is no per-way bijection, so a domain's
+# rows overlap and a line can be hit in a cell other than the one it
+# was last placed in.
+FILL_CONFIGS = [
+    galois_config(SkewParams(FieldSpec.binary(2))),
+    galois_config(SkewParams(FieldSpec.binary(3), a=3, b=5, c=6)),
+    galois_config(SkewParams(FieldSpec.binary(4))),
+    galois_config(SkewParams(FieldSpec.prime(5))),
+    conventional_config(4, 4, "random"),
+    conventional_config(2, 3, "random"),
+    conventional_config(4, 4, "lru"),
+    conventional_config(2, 3, "lru"),
+    galois_config(SkewParams(BrokenModularRing(p=2, n=2, modulus=0b111), a=2)),
+]
+
+
+def _cache_state(cache):
+    return (cache._cells, cache.stats(), cache._stamps, cache._clock,
+            cache.rng.getstate())
+
+
+class TestFillGroup:
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=st.sampled_from(FILL_CONFIGS), seed=st.integers(0, 2**32 - 1),
+           full=st.booleans(), data=st.data())
+    def test_matches_probe_by_probe_oracle(self, cfg, seed, full, data):
+        sets, ways = cfg.num_sets, cfg.num_ways
+        # a starting state: optionally every set filled by domain 1, then
+        # scattered lines of three domains over a few tags
+        scattered = data.draw(st.lists(
+            st.tuples(st.integers(0, 2), st.integers(0, sets - 1), st.integers(0, 3)),
+            max_size=2 * sets * ways))
+        groups = data.draw(st.lists(
+            st.tuples(st.integers(0, 2), st.integers(0, sets - 1),
+                      st.lists(st.integers(0, 2 * ways), max_size=ways + 1)),
+            min_size=1, max_size=4))
+        bulk, oracle = build_cache(cfg, seed), build_cache(cfg, seed)
+        for cache in (bulk, oracle):
+            if full:
+                for s in range(sets):
+                    for t in range(ways):
+                        cache.access(1, compose_address(cfg, s, 100 + t))
+            for d, s, t in scattered:
+                cache.access(d, compose_address(cfg, s, t))
+        for d, s, tags in groups:
+            addrs = [compose_address(cfg, s, t) for t in tags]
+            results = []
+            for fill in (bulk.fill_group, lambda *a: fill_group_oracle(oracle, *a)):
+                # ways + 1 distinct lines never all fit: both hit the cap
+                try:
+                    results.append(fill(d, addrs, 64))
+                except RuntimeError as exc:
+                    results.append(str(exc))
+            assert results[0] == results[1]
+            assert _cache_state(bulk) == _cache_state(oracle)
+
+    def test_rejects_negative_address(self):
+        with pytest.raises(ValueError):
+            gf4_cache().fill_group(0, [0x40, -1])
+
+
+class TestSnapshot:
+    def test_restore_after_flush_equals_replay(self):
+        cfg = galois_config(SP4)
+        steps = [(1, compose_address(cfg, s, t)) for s in range(4) for t in range(4)]
+        scratch = build_cache(cfg, 3)
+        for d, a in steps:
+            scratch.access(d, a)
+        snap = scratch.snapshot()
+        replayed, restored = build_cache(cfg, 9), build_cache(cfg, 9)
+        for cache in (replayed, restored):
+            cache.access(2, 0x40)  # stats before the flush are kept
+            cache.flush()
+        for d, a in steps:
+            replayed.access(d, a)
+        restored.restore(snap)
+        assert _cache_state(restored) == _cache_state(replayed)
+
+    def test_lru_refused(self):
+        cache = build_cache(conventional_config(4, 4, "lru"))
+        with pytest.raises(ValueError):
+            cache.snapshot()
+        snap = build_cache(conventional_config(4, 4, "random")).snapshot()
+        with pytest.raises(ValueError):
+            cache.restore(snap)
+
+    def test_other_geometry_refused(self):
+        snap = build_cache(conventional_config(4, 4, "random")).snapshot()
+        with pytest.raises(ValueError):
+            build_cache(conventional_config(8, 4, "random")).restore(snap)

@@ -18,26 +18,10 @@ from skewcache import skew
 from skewcache.field import MAX_CELLS
 from skewcache.skew import _verify_diagonalization_direct, layout_table
 
-from support import brute_force_witnesses, small_fields
+from support import BrokenModularRing, brute_force_witnesses, small_fields
 
 GF4 = FieldSpec.binary(2)
 SP4 = SkewParams(GF4)  # a=1, b=1, c=0
-
-
-class BrokenModularRing(FieldSpec):
-    """Plain integers mod 2^n passed off as a field (negative control)."""
-
-    def add(self, x, y):
-        return (x + y) % self.order
-
-    def sub(self, x, y):
-        return (x - y) % self.order
-
-    def mul(self, x, y):
-        return (x * y) % self.order
-
-    def inv(self, x):
-        return pow(x, -1, self.order)
 
 
 class TestConstruction:
