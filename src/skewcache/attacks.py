@@ -9,15 +9,15 @@ tp/fp/fn/tn, and keep the optional trial row; finally build the report.
 Trials are independent and may be distributed across processes by
 splitting the trial range.
 
-A kind may split off its first steps as a ``prefix``: galois-pp its
-prime and the victim's warm-up, collusion the prober's fill.  On a
-flushed cache these steps find free cells for every line, so they draw
-no random number and end in the same state in every trial.  The driver
-plays the prefix once on a scratch cache; if the random stream did not
-move and replacement is not LRU, each trial restores that snapshot
-after its flush instead of replaying the steps.  Otherwise (a prefix
-that draws, or LRU, whose stamps run on the cache's own clock) each
-trial replays the prefix.  Baseline prime-probe has no prefix.
+A kind splits off its first steps as a ``prefix``: baseline prime-probe
+and galois-pp the prime (galois-pp with the victim's warm-up),
+collusion the prober's fill.  On a flushed cache these steps find free
+cells for every line, so they draw no random number and end in the
+same state in every trial.  The driver plays the prefix once on a
+scratch cache; if the random stream did not move, each trial restores
+that snapshot after its flush instead of replaying the steps (LRU
+stamps are rebased onto the trial cache's clock).  A prefix that draws
+is replayed in every trial.
 
 Each kind supplies only its protocol steps:
 
@@ -100,6 +100,9 @@ class AttackScenario:
         domains = (self.victim_domain, *self.adversary_domains)
         if len(set(domains)) != len(domains):
             raise ValueError("participant domains must be distinct")
+        for d in domains:
+            if d < 0:
+                raise ValueError(f"domain id {d} is negative")
         if self.kind == "baseline_pp":
             if self.cache.kind != "conventional":
                 raise ValueError("baseline prime-probe needs a conventional cache")
@@ -180,8 +183,8 @@ def _trial_active(rng: random.Random, probability: float) -> bool:
 
 def _prefix_snapshot(sc: AttackScenario, prefix):
     """The state ``prefix`` leaves on a flushed cache, or None when every
-    trial must replay it: under LRU, or when it draws a random number."""
-    if prefix is None or sc.cache.replacement == "lru":
+    trial must replay it because it draws a random number."""
+    if prefix is None:
         return None
     scratch = build_cache(sc.cache, sc.seed)
     before = scratch.rng.getstate()
@@ -270,15 +273,18 @@ def run_baseline_prime_probe(sc: AttackScenario) -> DetectionReport:
     prime_addrs = [compose_address(cfg, primed_set, tag) for tag in range(cfg.num_ways)]
     victim_addr = compose_address(cfg, sc.victim_target_set, _TARGET_TAG)
 
-    def trial(cache, active):
+    def prime(cache):
         for a in prime_addrs:
             cache.access(adv, a)
+
+    def trial(cache, active):
         if active:
             cache.access(sc.victim_domain, victim_addr)
         detected = any(not ob.hit for ob in cache.observe_probe(adv, prime_addrs))
         return detected, detected, {}
 
-    return _run_trials(sc, trial, "at least one miss while re-accessing the primed set")
+    return _run_trials(sc, trial, "at least one miss while re-accessing the primed set",
+                       prefix=prime)
 
 
 def run_galois_prime_probe(sc: AttackScenario) -> DetectionReport:
@@ -446,7 +452,9 @@ def sweep_detection_vs_field(
     """One detection-rate row per GF(2^n) field; empty when trials == 0.
 
     An empty ``n_range`` is rejected, so a reversed range cannot pass
-    for a successful sweep.
+    for a successful sweep, and every field of the range is built
+    before any trial runs, so a degree without a default modulus fails
+    at once.
     """
     from .cache import galois_config
     from .field import FieldSpec
@@ -456,14 +464,13 @@ def sweep_detection_vs_field(
         raise ValueError(f"sweep supports galois_pp or collusion, got {kind!r}")
     if not n_range:
         raise ValueError(f"empty sweep range {n_range!r}: n_min exceeds n_max")
+    configs = [galois_config(SkewParams(FieldSpec.binary(n))) for n in n_range]
     rows: list[dict] = []
     if trials == 0:
         return rows
-    for n in n_range:
-        sp = SkewParams(FieldSpec.binary(n))
-        sc = default_scenario(
-            kind, galois_config(sp), trials, seed, victim_access_probability
-        )
+    for n, cfg in zip(n_range, configs):
+        sp = cfg.skew
+        sc = default_scenario(kind, cfg, trials, seed, victim_access_probability)
         report = run_scenario(sc)
         rows.append(
             {

@@ -35,8 +35,9 @@ span flushes stay reproducible.
 Two exact shortcuts serve the attack trials.  ``fill_group`` plays the
 probe passes of a group fill with its hits counted in bulk.
 ``snapshot`` and ``restore`` put back the state that steps drawing no
-random number leave on a flushed cache, without replaying them (not
-under LRU).
+random number leave on a flushed cache, without replaying them.  LRU
+stamps are kept relative to the clock at the last flush and rebased
+onto the restoring cache's clock.
 """
 
 from __future__ import annotations
@@ -78,6 +79,11 @@ class CacheSnapshot(NamedTuple):
     cells: tuple
     #: per-domain stats rows, slots _HITS.._SELF_EVICTIONS
     stats: dict
+    replacement: str
+    #: LRU only: (cell index, stamp) of each stamped cell, and the clock,
+    #: both counted from the clock at the last flush
+    stamps: tuple
+    clock: int
 
 
 @dataclass(frozen=True)
@@ -211,6 +217,7 @@ class _BaseCache:
         # LRU stamps exist only under LRU replacement
         self._stamps = [0] * len(self._cells) if self._lru else None
         self._clock = 0
+        self._flush_clock = 0  # the clock at the last flush
 
     def _row_table(self, domain: int) -> list[Optional[tuple[int, ...]]]:
         """An empty row table for a domain's first access."""
@@ -374,27 +381,37 @@ class _BaseCache:
         self._cells = [None] * size
         if self._lru:
             self._stamps = [0] * size
+            self._flush_clock = self._clock
         if reset_stats:
             self.reset_stats()
 
     def snapshot(self) -> CacheSnapshot:
-        """The cells and the stats so far, for ``restore``.  Not under
-        LRU, whose stamps run on the cache's own clock."""
-        if self._lru:
-            raise ValueError("an LRU cache cannot be snapshotted")
+        """The cells, the stats so far and the LRU stamps set since the
+        last flush, for ``restore``."""
+        base = self._flush_clock
+        stamps = () if not self._lru else tuple(
+            (idx, stamp - base) for idx, stamp in enumerate(self._stamps) if stamp)
         return CacheSnapshot(tuple(self._cells),
-                             {d: tuple(row) for d, row in self._stats.items()})
+                             {d: tuple(row) for d, row in self._stats.items()},
+                             self.cfg.replacement, stamps, self._clock - base)
 
     def restore(self, snap: CacheSnapshot) -> None:
-        """Set the cells to the snapshot's and add its stats to this
-        cache's.  A snapshot taken after some steps on a flushed,
+        """Set the cells to the snapshot's, add its stats to this cache's,
+        and under LRU set its stamps and clock advance onto this cache's
+        clock.  A snapshot taken after some steps on a flushed,
         zero-stats cache thus stands in for replaying those steps after
         a flush, provided they drew no random number."""
-        if self._lru:
-            raise ValueError("an LRU cache cannot be restored")
         if len(snap.cells) != len(self._cells):
             raise ValueError("snapshot is of a cache with another geometry")
+        if snap.replacement != self.cfg.replacement:
+            raise ValueError("snapshot is of a cache with another replacement policy")
         self._cells = list(snap.cells)
+        if self._lru:
+            base = self._clock
+            stamps = self._stamps = [0] * len(self._cells)
+            for idx, stamp in snap.stamps:
+                stamps[idx] = base + stamp
+            self._clock = base + snap.clock
         for d, delta in snap.stats.items():
             row = self._stats.get(d)
             if row is None:
@@ -420,6 +437,8 @@ class ConventionalCache(_BaseCache):
         self._shared_rows: list[Optional[tuple[int, ...]]] = [None] * self._span
 
     def _row_table(self, domain: int) -> list[Optional[tuple[int, ...]]]:
+        if domain < 0:
+            raise ValueError(f"domain id {domain} is negative")
         return self._shared_rows
 
     def _layout(self, domain: int, row: int) -> tuple[int, ...]:

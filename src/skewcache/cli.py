@@ -416,10 +416,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options naming a file the command writes
+_OUTPUT_FILES = ("output", "trial_log")
+
+
+def _check_output_files(cfg: dict) -> None:
+    """Refuse, before any work runs, an output file that cannot be created."""
+    for name in _OUTPUT_FILES:
+        path = cfg.get(name)
+        if not path:
+            continue
+        flag = "--" + name.replace("_", "-")
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise ValueError(f"{flag} {path}: {parent} is not an existing directory")
+        if os.path.isdir(path):
+            raise ValueError(f"{flag} {path} is a directory")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(_resolve(args))
+        cfg = _resolve(args)
+        _check_output_files(cfg)
+        return args.handler(cfg)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -312,6 +312,24 @@ def _refuse(*args):
     raise AssertionError("the snapshot path was taken")
 
 
+def _assert_equals_folded(monkeypatch, sc):
+    """The runner restores the prefix once per trial, and its report and
+    trial rows equal those of replaying the prefix in every trial."""
+    restores = []
+    restore = _BaseCache.restore
+    with monkeypatch.context() as patch:
+        patch.setattr(_BaseCache, "restore",
+                      lambda cache, snap: (restores.append(1), restore(cache, snap)))
+        fast = run_scenario(sc)
+    assert len(restores) == sc.trials
+    with monkeypatch.context() as patch:
+        patch.setattr(attacks, "_run_trials", _folded)
+        patch.setattr(_BaseCache, "restore", _refuse)
+        plain = run_scenario(sc)
+    assert _outcome(fast) == _outcome(plain)
+    return fast
+
+
 class TestTrialPrefix:
     @pytest.mark.parametrize("kind,sp", [
         ("galois_pp", SP4),
@@ -330,18 +348,24 @@ class TestTrialPrefix:
             sc = dataclasses.replace(
                 default_scenario(kind, galois_config(sp), trials, seed, prob),
                 victim_target_set=seed % m, record_trials=True)
-            restores = []
-            restore = _BaseCache.restore
-            with monkeypatch.context() as patch:
-                patch.setattr(_BaseCache, "restore",
-                              lambda cache, snap: (restores.append(1), restore(cache, snap)))
-                fast = run_scenario(sc)
-            assert len(restores) == trials
-            with monkeypatch.context() as patch:
-                patch.setattr(attacks, "_run_trials", _folded)
-                patch.setattr(_BaseCache, "restore", _refuse)
-                plain = run_scenario(sc)
-            assert _outcome(fast) == _outcome(plain)
+            _assert_equals_folded(monkeypatch, sc)
+
+    @pytest.mark.parametrize("cfg", [
+        conventional_config(4, 4, "lru"),
+        conventional_config(4, 4, "random"),
+        conventional_config(8, 2, "lru"),
+        conventional_config(8, 2, "random"),
+    ], ids=str)
+    @pytest.mark.parametrize("prime_set", [1, 2])
+    @pytest.mark.parametrize("prob", [0.0, 0.5, 1.0])
+    def test_baseline_equals_folded_prefix(self, monkeypatch, cfg, prime_set, prob):
+        for seed in (3, 11):
+            sc = baseline_scenario(cache=cfg, victim_target_set=1, adversary_prime_set=prime_set,
+                                   victim_access_probability=prob, trials=300, seed=seed,
+                                   record_trials=True)
+            report = _assert_equals_folded(monkeypatch, sc)
+            expected = report.true_positives + report.false_negatives if prime_set == 1 else 0
+            assert report.true_positives + report.false_positives == expected
 
     def test_drawing_prefix_replayed_every_trial(self, monkeypatch):
         cfg = galois_config(SP4)
@@ -369,7 +393,7 @@ class TestTrialPrefix:
         assert len(plays) == 1 + sc.trials  # the scratch run, then each trial
         assert _outcome(got) == _outcome(_folded(sc, protocol, "scripted", prefix=prefix))
 
-    def test_lru_never_snapshots(self, monkeypatch):
+    def test_lru_prefix_restored(self, monkeypatch):
         sc = baseline_scenario(victim_access_probability=0.5, record_trials=True)
         cfg = sc.cache
         prime = [compose_address(cfg, 0, t) for t in range(4)]
@@ -382,12 +406,18 @@ class TestTrialPrefix:
         def protocol(cache, active):
             if active:
                 cache.access(2, victim)
+            # the victim evicts the least recently used line, tag 0
             detected = not all(cache.probe_one(1, a) for a in prime)
             return detected, detected, {}
 
-        monkeypatch.setattr(_BaseCache, "snapshot", _refuse)
+        restores = []
+        restore = _BaseCache.restore
+        with monkeypatch.context() as patch:
+            patch.setattr(_BaseCache, "restore",
+                          lambda cache, snap: (restores.append(1), restore(cache, snap)))
+            got = _run_trials(sc, protocol, "scripted", prefix=prefix)
+        assert len(restores) == sc.trials
         monkeypatch.setattr(_BaseCache, "restore", _refuse)
-        got = _run_trials(sc, protocol, "scripted", prefix=prefix)
         assert _outcome(got) == _outcome(_folded(sc, protocol, "scripted", prefix=prefix))
         assert 0 < got.true_positives < sc.trials
 

@@ -313,6 +313,12 @@ class TestConventional:
         assert cache2.access(1, compose_address(cfg, 2, 10)).victim_line == (0, 2)
         assert cache2.access(1, compose_address(cfg, 2, 11)).victim_line == (0, 3)
 
+    def test_negative_domain_rejected(self):
+        cache = build_cache(conventional_config(4, 4, "lru"))
+        with pytest.raises(ValueError, match="negative"):
+            cache.access(-1, 0x40)
+        assert cache.stats() == {}
+
     def test_matches_domain_zero_galois_with_random_replacement(self):
         # same geometry, same seed, domain 0, a=1, c=0: identical behaviour
         seed = 21
@@ -441,13 +447,50 @@ class TestSnapshot:
         restored.restore(snap)
         assert _cache_state(restored) == _cache_state(replayed)
 
-    def test_lru_refused(self):
-        cache = build_cache(conventional_config(4, 4, "lru"))
-        with pytest.raises(ValueError):
-            cache.snapshot()
-        snap = build_cache(conventional_config(4, 4, "random")).snapshot()
-        with pytest.raises(ValueError):
-            cache.restore(snap)
+    # LRU stamps and the clock are kept relative to the last flush: the
+    # snapshot is taken on a cache flushed at one clock and restored into
+    # caches flushed at another, against replaying the steps there.
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=st.sampled_from([conventional_config(4, 4, "lru"),
+                                conventional_config(2, 3, "lru"),
+                                conventional_config(64, 8, "lru")]),
+           warm=st.integers(1, 20), extra=st.integers(1, 20), data=st.data())
+    def test_lru_restore_rebases_stamps(self, cfg, warm, extra, data):
+        line = st.tuples(st.integers(0, 2), st.integers(0, cfg.num_sets - 1),
+                         st.integers(0, 2 * cfg.num_ways))
+        steps = data.draw(st.lists(line, max_size=3 * cfg.num_ways))
+        after = data.draw(st.lists(line, max_size=2 * cfg.num_ways))
+
+        def play(cache, lines):
+            for d, s, t in lines:
+                cache.access(d, compose_address(cfg, s, t))
+
+        def flushed_at(clock):
+            cache = build_cache(cfg, 1)
+            play(cache, [(3, i % cfg.num_sets, 100 + i) for i in range(clock)])
+            cache.flush()
+            assert cache._clock == clock
+            return cache
+
+        scratch = flushed_at(warm)
+        scratch.reset_stats()  # a snapshot carries every stat so far
+        play(scratch, steps)
+        snap = scratch.snapshot()
+        replayed, restored = flushed_at(warm + extra), flushed_at(warm + extra)
+        play(replayed, steps)
+        restored.restore(snap)
+        assert _cache_state(restored) == _cache_state(replayed)
+        play(replayed, after)
+        play(restored, after)
+        assert _cache_state(restored) == _cache_state(replayed)
+
+    def test_other_replacement_refused(self):
+        lru = build_cache(conventional_config(4, 4, "lru"))
+        rand = build_cache(conventional_config(4, 4, "random"))
+        with pytest.raises(ValueError, match="replacement"):
+            lru.restore(rand.snapshot())
+        with pytest.raises(ValueError, match="replacement"):
+            rand.restore(lru.snapshot())
 
     def test_other_geometry_refused(self):
         snap = build_cache(conventional_config(4, 4, "random")).snapshot()

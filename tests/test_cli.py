@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewcache import attacks, cli
 from skewcache.cli import main
+
+
+def _refuse(*args):
+    raise AssertionError("work ran before the input was checked")
 
 
 def run_cli(capsys, *argv):
@@ -189,6 +194,30 @@ class TestAttackCommand:
                                "--victim-domain", "7")
         assert code == 2
 
+    @pytest.mark.parametrize("args", [
+        ("baseline-pp", "--victim-domain", "-1"),
+        ("baseline-pp", "--adversary-domain", "-3"),
+        ("galois-pp", "--n", "2", "--victim-domain", "-1"),
+        ("collusion", "--n", "2", "--squeezer-domain", "-2"),
+    ])
+    def test_negative_domain_rejected(self, monkeypatch, capsys, args):
+        monkeypatch.setattr(attacks, "_run_trials", _refuse)
+        code, out, err = run_cli(capsys, "attack", *args, "--trials", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: domain id -") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("args", [
+        ("--n-min", "2", "--n-max", "8", "--trials", "3000"),
+        ("--n-max", "20", "--trials", "0"),
+    ])
+    def test_sweep_checks_every_degree_first(self, monkeypatch, capsys, args):
+        monkeypatch.setattr(attacks, "run_scenario", _refuse)
+        code, out, err = run_cli(capsys, "attack", "sweep", *args)
+        assert code == 2
+        assert out == ""
+        assert err == "error: no default modulus for degree 8; pass one explicitly\n"
+
 
 class TestCostCommand:
     def test_default_gf8_report(self, capsys):
@@ -232,6 +261,30 @@ class TestReportPlumbing:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())["ok"] is True
+
+    @pytest.mark.parametrize("argv,flag", [
+        (("verify", "--n", "8"), "--output"),
+        (("cost", "--n", "3"), "--output"),
+        (("simulate", "tests/golden/replay.trace"), "--output"),
+        (("attack", "collusion", "--n", "3", "--trials", "1500"), "--output"),
+        (("attack", "collusion", "--n", "3", "--trials", "1500"), "--trial-log"),
+        (("attack", "sweep", "--trials", "1500"), "--output"),
+    ])
+    @pytest.mark.parametrize("where", ["missing", "file", "dir"])
+    def test_unwritable_output_checked_first(self, tmp_path, monkeypatch, capsys,
+                                             argv, flag, where):
+        command = argv[0]
+        _, *rest = cli.SUBCOMMANDS[command]
+        monkeypatch.setitem(cli.SUBCOMMANDS, command, (_refuse, *rest))
+        (tmp_path / "file").write_text("")
+        path = {"missing": tmp_path / "missing" / "x.json",
+                "file": tmp_path / "file" / "x.json",
+                "dir": tmp_path}[where]
+        code, out, err = run_cli(capsys, *argv, flag, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag} {path}") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
     def test_timestamp_present_by_default(self, capsys):
         _, out, _ = run_cli(capsys, "verify", "--n", "2")
