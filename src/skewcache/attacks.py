@@ -19,6 +19,11 @@ that snapshot after its flush instead of replaying the steps (LRU
 stamps are rebased onto the trial cache's clock).  A prefix that draws
 is replayed in every trial.
 
+Collusion plays its squeeze and its probe as groups of one domain's
+lines (``fill_domain_set``, ``probe_group``), which the cache runs
+through its row-local kernel: each row is scanned once, and then every
+miss is one cell write and at most one draw.
+
 Each kind supplies only its protocol steps:
 
 * baseline prime-probe (conventional cache): the adversary primes one
@@ -253,8 +258,9 @@ def fill_domain_set(cache, domain: int, addrs, max_rounds: int = 4096) -> int:
     so after the initial pass the lines are re-probed in order until one
     complete pass hits everywhere; a miss refills and may disturb the
     rest of the group, so the pass restarts there rather than probing
-    on.  The cache plays the passes with its hits in bulk
-    (``fill_group``), with the same outcome as probing line by line.
+    on.  The cache plays the group (``fill_group``) through its
+    row-local kernel when it can, with the same outcome as probing line
+    by line.
     Returns the number of probe passes used; the cap only guards against
     a broken cache model, since the loop terminates with probability one.
     """
@@ -365,6 +371,11 @@ def run_collusion_attack(sc: AttackScenario) -> DetectionReport:
     survivor_way = [
         solve_intersection_way(sp, prober, squeezer, s, skip_set) for s in range(m)
     ]
+    # the probe: every prober set in turn, survivor way first
+    probe_addrs = tuple(
+        a for s in range(m)
+        for a in (prime_addrs[s][survivor_way[s]],
+                  *(prime_addrs[s][w] for w in range(m) if w != survivor_way[s])))
     inferred_for = [
         set_through_cell(sp, vic, permute(sp, prober, s, survivor_way[s]), survivor_way[s])
         for s in range(m)
@@ -378,21 +389,13 @@ def run_collusion_attack(sc: AttackScenario) -> DetectionReport:
                 access(prober, a)
 
     def trial(cache, active):
-        probe = cache.probe_one
         for group in squeeze_addrs:
             fill_domain_set(cache, squeezer, group)
         if active:
             cache.access(vic, target_addr)
-        fired_set = -1
-        for s in range(m):
-            group = prime_addrs[s]
-            w_live = survivor_way[s]
-            misses = 0 if probe(prober, group[w_live]) else 1
-            for w in range(m):
-                if w != w_live and not probe(prober, group[w]):
-                    misses += 1
-            if misses == m and fired_set < 0:
-                fired_set = s
+        hits = cache.probe_group(prober, probe_addrs)
+        fired_set = next(
+            (s for s in range(m) if not any(hits[s * m:(s + 1) * m])), -1)
         if fired_set < 0:
             return False, False, {"inferred_set": -1}
         inferred = inferred_for[fired_set]

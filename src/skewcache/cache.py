@@ -32,12 +32,17 @@ separate instances with separate seeds.  ``flush`` invalidates every
 line but leaves the random stream position untouched, so replays that
 span flushes stay reproducible.
 
-Two exact shortcuts serve the attack trials.  ``fill_group`` plays the
-probe passes of a group fill with its hits counted in bulk.
-``snapshot`` and ``restore`` put back the state that steps drawing no
-random number leave on a flushed cache, without replaying them.  LRU
-stamps are kept relative to the clock at the last flush and rebased
-onto the restoring cache's clock.
+Two exact shortcuts serve the attack trials.  ``fill_group`` (the
+squeeze) and ``probe_group`` (a probe in order) play a group of one
+domain's lines through a row-local kernel: each row of the group is
+scanned once on entry, after which a hit is a lookup and a miss is one
+cell write and at most one draw.  The kernel needs random replacement,
+distinct lines and a domain whose rows share no cell (a per-way
+bijection, checked once per domain); any other group takes the
+probe-by-probe loop.  ``snapshot`` and ``restore`` put back the state
+that steps drawing no random number leave on a flushed cache, without
+replaying them.  LRU stamps are kept relative to the clock at the last
+flush and rebased onto the restoring cache's clock.
 """
 
 from __future__ import annotations
@@ -53,6 +58,8 @@ KINDS = ("galois", "conventional", "stacked-galois")
 
 # stats slots, per domain
 _HITS, _MISSES, _EVICTIONS_CAUSED, _SELF_EVICTIONS = range(4)
+# decoded groups kept per cache before the memo starts over
+_GROUP_MEMO = 1024
 
 
 class AddressParts(NamedTuple):
@@ -76,7 +83,9 @@ class ProbeObservation(NamedTuple):
 
 
 class CacheSnapshot(NamedTuple):
-    cells: tuple
+    #: (cell index, line) of each occupied cell, and the cell count
+    lines: tuple
+    size: int
     #: per-domain stats rows, slots _HITS.._SELF_EVICTIONS
     stats: dict
     replacement: str
@@ -84,6 +93,23 @@ class CacheSnapshot(NamedTuple):
     #: both counted from the clock at the last flush
     stamps: tuple
     clock: int
+
+
+class _Group(NamedTuple):
+    """A group of one domain's lines, decoded once per cache (``_group``)."""
+
+    #: (row, tag) of each line, for the probe-by-probe loop
+    lines: tuple
+    #: whether the row-local kernel plays this group; the fields below
+    #: are filled only then
+    kernel: bool
+    #: (domain, tag) of each line, and the candidate cells of its row
+    keys: tuple = ()
+    cands: tuple = ()
+    #: each line's position in ``rows``
+    slots: tuple = ()
+    #: each distinct row of the group: (candidate cells, {key: line index})
+    rows: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -218,6 +244,8 @@ class _BaseCache:
         self._stamps = [0] * len(self._cells) if self._lru else None
         self._clock = 0
         self._flush_clock = 0  # the clock at the last flush
+        self._disjoint: dict[int, bool] = {}
+        self._groups: dict[tuple, _Group] = {}
 
     def _row_table(self, domain: int) -> list[Optional[tuple[int, ...]]]:
         """An empty row table for a domain's first access."""
@@ -241,6 +269,17 @@ class _BaseCache:
         if cand is None:
             cand = rows[row] = self._layout(domain, row)
         return cand
+
+    def _rows_disjoint(self, domain: int) -> bool:
+        """Whether no two rows of the domain share a cell, checked once
+        per domain.  Rows past the first m are offset copies of those
+        (stacked instances), so m rows decide it."""
+        disjoint = self._disjoint.get(domain)
+        if disjoint is None:
+            m = self._ways
+            cells = {idx for s in range(m) for idx in self._row(domain, s)}
+            disjoint = self._disjoint[domain] = len(cells) == m * m
+        return disjoint
 
     def stats(self) -> dict[int, dict[str, int]]:
         return {
@@ -278,10 +317,20 @@ class _BaseCache:
     def observe_probe(self, domain: int, addrs) -> list[ProbeObservation]:
         """Probe addresses in order.  Probes are real accesses and mutate
         state; only the per-address hit flag is reported."""
-        if not addrs:
+        addrs = tuple(addrs)  # read twice
+        return [ProbeObservation(a, hit)
+                for a, hit in zip(addrs, self.probe_group(domain, addrs))]
+
+    def probe_group(self, domain: int, addrs) -> list[bool]:
+        """Access the addresses in order; returns whether each one hit.
+        Equal to a ``probe_one`` of each address in turn."""
+        group = self._group(domain, addrs)
+        if not group.lines:
             raise ValueError("probe needs at least one address")
-        probe = self.probe_one
-        return [ProbeObservation(addr, probe(domain, addr)) for addr in addrs]
+        if group.kernel:
+            return self._play_group(domain, group)
+        access = self._access_line
+        return [access(domain, row, tag)[0] for row, tag in group.lines]
 
     def _access_line(self, domain: int, row: int, tag: int):
         """Core lookup: returns (hit, flat cell index, way, evicted line)."""
@@ -332,49 +381,130 @@ class _BaseCache:
         one pass hits everywhere; returns the number of probe passes.
 
         A pass probes in order and restarts at its first miss, since
-        that miss's refill may evict a line of the group.  Hits draw no
-        random number, so a pass is played in bulk: every line before
-        the first one whose last-placed cell no longer holds it counts
-        as a hit in one step, and only that line goes through the
-        lookup.  Passes, cells, stats, LRU stamps and the random stream
-        all end as the probe-by-probe loop leaves them.  The cap only
-        guards against a broken cache model.
+        that miss's refill may evict a line of the group.  The cap only
+        guards against a broken cache model.  The row-local kernel plays
+        the group when it can; otherwise this loop does, probe by probe.
         """
-        off, span = self._off, self._span
+        group = self._group(domain, addrs)
+        if group.kernel:
+            return self._play_group(domain, group, max_rounds)
         access = self._access_line
-        lines, keys, placed = [], [], []
+        for row, tag in group.lines:
+            access(domain, row, tag)
+        for passes in range(1, max_rounds + 1):
+            if all(access(domain, row, tag)[0] for row, tag in group.lines):
+                return passes
+        raise RuntimeError(f"set not resident after {max_rounds} probe passes")
+
+    def _group(self, domain: int, addrs) -> _Group:
+        """The decoded group, memoized per cache: the attack trials play
+        the same few groups in every trial."""
+        key = (domain, tuple(addrs))
+        group = self._groups.get(key)
+        if group is None:
+            if len(self._groups) >= _GROUP_MEMO:
+                self._groups.clear()
+            group = self._groups[key] = self._decode_group(domain, key[1])
+        return group
+
+    def _decode_group(self, domain: int, addrs: tuple) -> _Group:
+        off, span = self._off, self._span
+        lines = []
         for a in addrs:
             if a < 0:
                 raise ValueError("addresses are unsigned")
             block = a >> off
-            line = (block % span, block // span)
-            lines.append(line)
-            keys.append((domain, line[1]))
-            placed.append(access(domain, *line)[1])
+            lines.append((block % span, block // span))
+        lines = tuple(lines)
+        if (not lines or self._lru or len(set(lines)) < len(lines)
+                or not self._rows_disjoint(domain)):
+            return _Group(lines, False)
+        slot_of: dict[int, int] = {}
+        rows, keys, cands, slots = [], [], [], []
+        for j, (row, tag) in enumerate(lines):
+            cand = self._row(domain, row)
+            if row not in slot_of:
+                slot_of[row] = len(rows)
+                rows.append((cand, {}))
+            key = (domain, tag)
+            # keyed per row: a same-tag line of another row is another line
+            rows[slot_of[row]][1][key] = j
+            keys.append(key)
+            cands.append(cand)
+            slots.append(slot_of[row])
+        return _Group(lines, True, tuple(keys), tuple(cands), tuple(slots), tuple(rows))
+
+    def _play_group(self, domain: int, group: _Group, max_rounds: Optional[int] = None):
+        """The row-local kernel: with ``max_rounds`` None, probe the
+        group once in order and return the hit flags; otherwise play
+        ``fill_group`` and return its pass count.
+
+        Each row is scanned once on entry for its free cells, in way
+        order, and the cells holding group lines.  Rows of the domain
+        share no cell, so only this group's misses change them: a hit
+        is a bit test, a miss takes the row's first free cell or evicts
+        a drawn one, and a group line evicted is marked gone.  A fill
+        pass hits up to its lowest gone line, which it then refills.
+        Cells, stats and the random stream end as the probe-by-probe
+        loop leaves them.
+        """
         cells = self._cells
-        n = len(lines)
-        for passes in range(1, max_rounds + 1):
-            i = 0
-            while True:
+        stats = self._stats.get(domain)
+        if stats is None:
+            stats = self._stats[domain] = [0, 0, 0, 0]
+        keys, cands, slots = group.keys, group.cands, group.slots
+        n = len(keys)
+        gone = (1 << n) - 1  # bit j: line j is not resident
+        owner = {}  # cell index -> the group line it holds
+        frees = []  # per row, its free cells, lowest way last
+        for cand, line_of in group.rows:
+            free = []
+            for idx in reversed(cand):
+                cell = cells[idx]
+                if cell is None:
+                    free.append(idx)
+                elif cell in line_of:
+                    j = owner[idx] = line_of[cell]
+                    gone ^= 1 << j
+            frees.append(free)
+        draw, ways = self.rng.getrandbits, self._ways
+        hits = []
+        i = passes = 0
+        # stats slots _HITS.._SELF_EVICTIONS as literals 0..3, as in _access_line
+        while True:
+            if i < n:  # the pass that accesses every line once
                 j = i
-                while j < n and cells[placed[j]] == keys[j]:
-                    j += 1
-                if j > i:
-                    self._stats[domain][_HITS] += j - i
-                    if self._lru:
-                        for idx in placed[i:j]:
-                            self._clock += 1
-                            self._stamps[idx] = self._clock
-                if j == n:
+                i += 1
+                if not gone >> j & 1:
+                    stats[0] += 1
+                    hits.append(True)
+                    continue
+                hits.append(False)
+            elif max_rounds is None:
+                return hits
+            else:
+                passes += 1
+                if passes > max_rounds:
+                    raise RuntimeError(f"set not resident after {max_rounds} probe passes")
+                if not gone:
+                    stats[0] += n
                     return passes
-                # gone from its cell: the full lookup refills it (or hits
-                # a copy elsewhere in the row, which only a layout that is
-                # not a per-way bijection can hold)
-                hit, placed[j], _, _ = access(domain, *lines[j])
-                if not hit:
-                    break
-                i = j + 1
-        raise RuntimeError(f"set not resident after {max_rounds} probe passes")
+                j = (gone & -gone).bit_length() - 1
+                stats[0] += j
+            stats[1] += 1
+            free = frees[slots[j]]
+            if free:
+                idx = free.pop()
+            else:
+                idx = cands[j][draw(64) % ways]
+                victim = cells[idx]
+                stats[3 if victim[0] == domain else 2] += 1
+                evicted = owner.get(idx)
+                if evicted is not None:
+                    gone |= 1 << evicted
+            cells[idx] = keys[j]
+            owner[idx] = j
+            gone ^= 1 << j
 
     def flush(self, reset_stats: bool = False) -> None:
         size = len(self._cells)
@@ -386,29 +516,38 @@ class _BaseCache:
             self.reset_stats()
 
     def snapshot(self) -> CacheSnapshot:
-        """The cells, the stats so far and the LRU stamps set since the
-        last flush, for ``restore``."""
+        """The occupied cells, the stats so far and the LRU stamps set
+        since the last flush, for ``restore``."""
         base = self._flush_clock
         stamps = () if not self._lru else tuple(
             (idx, stamp - base) for idx, stamp in enumerate(self._stamps) if stamp)
-        return CacheSnapshot(tuple(self._cells),
+        lines = tuple((idx, cell) for idx, cell in enumerate(self._cells)
+                      if cell is not None)
+        return CacheSnapshot(lines, len(self._cells),
                              {d: tuple(row) for d, row in self._stats.items()},
                              self.cfg.replacement, stamps, self._clock - base)
 
     def restore(self, snap: CacheSnapshot) -> None:
-        """Set the cells to the snapshot's, add its stats to this cache's,
-        and under LRU set its stamps and clock advance onto this cache's
-        clock.  A snapshot taken after some steps on a flushed,
-        zero-stats cache thus stands in for replaying those steps after
-        a flush, provided they drew no random number."""
-        if len(snap.cells) != len(self._cells):
+        """Into an empty cache (one flushed, or new, with no access
+        since), write the snapshot's occupied cells, add its stats to
+        this cache's, and under LRU set its stamps and clock advance
+        onto this cache's clock.  A snapshot taken after some steps on a
+        flushed, zero-stats cache thus stands in for replaying those
+        steps after a flush, provided they drew no random number.  A
+        cache holding any line is refused."""
+        cells = self._cells
+        if snap.size != len(cells):
             raise ValueError("snapshot is of a cache with another geometry")
         if snap.replacement != self.cfg.replacement:
             raise ValueError("snapshot is of a cache with another replacement policy")
-        self._cells = list(snap.cells)
+        if cells.count(None) != len(cells):
+            raise ValueError("restore needs an empty cache: flush it first")
+        for idx, line in snap.lines:
+            cells[idx] = line
         if self._lru:
+            # an empty cache's stamps are all zero
             base = self._clock
-            stamps = self._stamps = [0] * len(self._cells)
+            stamps = self._stamps
             for idx, stamp in snap.stamps:
                 stamps[idx] = base + stamp
             self._clock = base + snap.clock
@@ -443,6 +582,9 @@ class ConventionalCache(_BaseCache):
 
     def _layout(self, domain: int, row: int) -> tuple[int, ...]:
         return tuple(range(row * self._ways, (row + 1) * self._ways))
+
+    def _rows_disjoint(self, domain: int) -> bool:
+        return True
 
 
 class StackedGaloisCache(_BaseCache):

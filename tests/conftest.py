@@ -1,0 +1,13 @@
+"""Hypothesis profiles.
+
+``HYPOTHESIS_PROFILE=ci`` loads a wide profile for the oracle tests of
+the cache's group kernels (``-k oracle`` in tests/test_cache.py), which
+read their example budget from it; every other test sets its own.
+"""
+
+import os
+
+from hypothesis import settings
+
+settings.register_profile("ci", max_examples=2000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))

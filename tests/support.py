@@ -6,7 +6,7 @@ division, inverses and intersection witnesses come from exhaustive
 search, so the implementations under test are checked against routes
 they do not share code with.  The cache helpers read simulator state
 that the observation interface hides, and the probe-by-probe group
-fill is the reference for the cache's bulk ``fill_group``.
+fill is the reference for the cache's ``fill_group`` kernel.
 """
 
 import numpy as np

@@ -1,9 +1,10 @@
 """Cache model behaviour: address split, lookup, replacement, isolation."""
 
+import copy
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skewcache import (
@@ -19,8 +20,9 @@ from skewcache import (
 )
 from skewcache.cache import KINDS
 from skewcache.field import MAX_CELLS
+from skewcache.skew import verify_way_bijection
 
-from support import BrokenModularRing, fill_group_oracle, line_at
+from support import BrokenModularRing, fill_group_oracle, line_at, small_fields
 
 GF4 = FieldSpec.binary(2)
 SP4 = SkewParams(GF4)
@@ -367,22 +369,29 @@ class TestStacked:
         assert cache.stats()[0]["misses"] == 2
 
 
-# The bulk group fill against the probe-by-probe oracle: GF(2^2..2^4)
-# and GF(5) layouts, conventional caches under both replacements, and a
-# mod-4 ring whose a=2 layout is no per-way bijection, so a domain's
-# rows overlap and a line can be hit in a cell other than the one it
-# was last placed in.
+# The group kernels against the probe-by-probe oracle: GF(2^2..2^4) and
+# GF(5) layouts, a stacked cache, conventional caches under both
+# replacements, and mod-4 rings whose a=1 layout is a per-way bijection
+# (the kernel plays it) and whose a=2 layout is not, so a domain's rows
+# overlap and a line can be hit through another row (the loop plays it).
 FILL_CONFIGS = [
     galois_config(SkewParams(FieldSpec.binary(2))),
     galois_config(SkewParams(FieldSpec.binary(3), a=3, b=5, c=6)),
     galois_config(SkewParams(FieldSpec.binary(4))),
     galois_config(SkewParams(FieldSpec.prime(5))),
+    stacked_config(SkewParams(FieldSpec.prime(3)), stack_bits=1),
     conventional_config(4, 4, "random"),
     conventional_config(2, 3, "random"),
     conventional_config(4, 4, "lru"),
     conventional_config(2, 3, "lru"),
+    galois_config(SkewParams(BrokenModularRing(p=2, n=2, modulus=0b111), a=1)),
     galois_config(SkewParams(BrokenModularRing(p=2, n=2, modulus=0b111), a=2)),
 ]
+GF4_CFG = FILL_CONFIGS[0]
+
+# The oracle tests take a larger example budget from the loaded
+# Hypothesis profile (HYPOTHESIS_PROFILE=ci, see tests/conftest.py).
+ORACLE_SETTINGS = settings(max_examples=max(150, settings().max_examples), deadline=None)
 
 
 def _cache_state(cache):
@@ -390,44 +399,167 @@ def _cache_state(cache):
             cache.rng.getstate())
 
 
+def _addr(cfg, row, tag):
+    """The address of (row, tag); rows past num_sets are stacked instances."""
+    return compose_address(cfg, row % cfg.num_sets, tag, row // cfg.num_sets)
+
+
+@st.composite
+def group_cases(draw):
+    """A cache config, a seed, a starting state and groups to play.
+
+    The start optionally fills every row with domain 1, then scatters
+    lines of three domains over a few tags.  A group is one domain's
+    lines, (row, tag) pairs in one row or over several, and its warm
+    lines: some of the group's own lines, accessed right before the
+    group is played, so that it starts partly resident.
+    """
+    cfg = draw(st.sampled_from(FILL_CONFIGS))
+    rows, ways = cfg.num_sets * cfg.num_instances, cfg.num_ways
+    row = st.integers(0, rows - 1)
+    seed = draw(st.integers(0, 2**32 - 1))
+    full = draw(st.booleans())
+    scattered = draw(st.lists(st.tuples(st.integers(0, 2), row, st.integers(0, 3)),
+                              max_size=2 * rows * ways))
+    groups = []
+    for _ in range(draw(st.integers(1, 4))):
+        domain = draw(st.integers(0, 2))
+        if draw(st.booleans()):
+            r = draw(row)
+            lines = [(r, t) for t in draw(st.lists(st.integers(0, 2 * ways),
+                                                   max_size=ways + 1))]
+        else:
+            lines = draw(st.lists(st.tuples(row, st.integers(0, ways)),
+                                  max_size=2 * ways))
+        warm = draw(st.lists(st.sampled_from(lines), max_size=len(lines))) if lines else []
+        groups.append((domain, lines, warm))
+    return cfg, seed, full, scattered, groups
+
+
+def _start_pair(case):
+    """Two caches in the case's starting state."""
+    cfg, seed, full, scattered, _ = case
+    pair = build_cache(cfg, seed), build_cache(cfg, seed)
+    for cache in pair:
+        if full:
+            for r in range(cfg.num_sets * cfg.num_instances):
+                for t in range(cfg.num_ways):
+                    cache.access(1, _addr(cfg, r, 100 + t))
+        for d, r, t in scattered:
+            cache.access(d, _addr(cfg, r, t))
+    return pair
+
+
+# A line resident at the start, evicted by an earlier line's refill in
+# the pass that accesses every line, misses and refills at its own turn
+# (GF(4) full of domain 1, seed 0: line (0, 1)'s refill evicts (0, 2)).
+EVICTED_BEFORE_ITS_TURN = (GF4_CFG, 0, True, [],
+                           [(0, [(0, 0), (0, 1), (0, 2)], [(0, 2)])])
+# Line (1, 5) shares its key (domain, tag) with the resident line
+# (0, 5) of another row of the group; it is not resident.
+SAME_TAG_OTHER_ROW = (GF4_CFG, 0, False, [], [(2, [(0, 5), (1, 5)], [(0, 5)])])
+
+
 class TestFillGroup:
-    @settings(max_examples=150, deadline=None)
-    @given(cfg=st.sampled_from(FILL_CONFIGS), seed=st.integers(0, 2**32 - 1),
-           full=st.booleans(), data=st.data())
-    def test_matches_probe_by_probe_oracle(self, cfg, seed, full, data):
-        sets, ways = cfg.num_sets, cfg.num_ways
-        # a starting state: optionally every set filled by domain 1, then
-        # scattered lines of three domains over a few tags
-        scattered = data.draw(st.lists(
-            st.tuples(st.integers(0, 2), st.integers(0, sets - 1), st.integers(0, 3)),
-            max_size=2 * sets * ways))
-        groups = data.draw(st.lists(
-            st.tuples(st.integers(0, 2), st.integers(0, sets - 1),
-                      st.lists(st.integers(0, 2 * ways), max_size=ways + 1)),
-            min_size=1, max_size=4))
-        bulk, oracle = build_cache(cfg, seed), build_cache(cfg, seed)
-        for cache in (bulk, oracle):
-            if full:
-                for s in range(sets):
-                    for t in range(ways):
-                        cache.access(1, compose_address(cfg, s, 100 + t))
-            for d, s, t in scattered:
-                cache.access(d, compose_address(cfg, s, t))
-        for d, s, tags in groups:
-            addrs = [compose_address(cfg, s, t) for t in tags]
+    @ORACLE_SETTINGS
+    @given(case=group_cases())
+    @example(case=EVICTED_BEFORE_ITS_TURN)
+    @example(case=SAME_TAG_OTHER_ROW)
+    def test_matches_probe_by_probe_oracle(self, case):
+        cfg = case[0]
+        kernel, oracle = _start_pair(case)
+        for d, lines, warm in case[4]:
             results = []
-            for fill in (bulk.fill_group, lambda *a: fill_group_oracle(oracle, *a)):
-                # ways + 1 distinct lines never all fit: both hit the cap
+            for cache, fill in ((kernel, kernel.fill_group),
+                                (oracle, lambda *a: fill_group_oracle(oracle, *a))):
+                for r, t in warm:
+                    cache.access(d, _addr(cfg, r, t))
+                # more distinct lines than ways in a row never all fit:
+                # both hit the cap
                 try:
-                    results.append(fill(d, addrs, 64))
+                    results.append(fill(d, [_addr(cfg, r, t) for r, t in lines], 64))
                 except RuntimeError as exc:
                     results.append(str(exc))
             assert results[0] == results[1]
-            assert _cache_state(bulk) == _cache_state(oracle)
+            assert _cache_state(kernel) == _cache_state(oracle)
 
     def test_rejects_negative_address(self):
         with pytest.raises(ValueError):
             gf4_cache().fill_group(0, [0x40, -1])
+
+    @pytest.mark.parametrize("cfg,tags,kernel", [
+        (GF4_CFG, (0, 1, 2), True),
+        (conventional_config(4, 4, "random"), (0, 1, 2), True),
+        (FILL_CONFIGS[-2], (0, 1, 2), True),  # mod-4 ring, a=1
+        (conventional_config(4, 4, "lru"), (0, 1, 2), False),
+        (GF4_CFG, (0, 1, 0), False),  # a repeated line
+        (FILL_CONFIGS[-1], (0, 1, 2), False),  # mod-4 ring, a=2
+    ], ids=["galois", "random", "ring-a1", "lru", "repeated", "ring-a2"])
+    def test_kernel_preconditions(self, cfg, tags, kernel):
+        cache = build_cache(cfg)
+        assert cache._group(1, [compose_address(cfg, 1, t) for t in tags]).kernel == kernel
+
+    def test_decoded_groups_memoized_per_cache(self):
+        cache = gf4_cache()
+        addrs = [compose_address(cache.cfg, 1, t) for t in range(4)]
+        for seed in range(50):
+            cache.reseed(seed)
+            cache.flush()
+            cache.fill_group(0, addrs)
+            cache.probe_group(0, addrs)
+        assert len(cache._groups) == 1
+
+
+class TestProbeGroup:
+    @ORACLE_SETTINGS
+    @given(case=group_cases())
+    @example(case=EVICTED_BEFORE_ITS_TURN)
+    @example(case=SAME_TAG_OTHER_ROW)
+    def test_matches_probe_one_oracle(self, case):
+        cfg = case[0]
+        kernel, oracle = _start_pair(case)
+        for d, lines, warm in case[4]:
+            for cache in (kernel, oracle):
+                for r, t in warm:
+                    cache.access(d, _addr(cfg, r, t))
+            addrs = [_addr(cfg, r, t) for r, t in lines]
+            if not addrs:
+                with pytest.raises(ValueError):
+                    kernel.probe_group(d, addrs)
+                continue
+            assert kernel.probe_group(d, addrs) == [oracle.probe_one(d, a) for a in addrs]
+            assert _cache_state(kernel) == _cache_state(oracle)
+
+    def test_observe_probe_reports_the_group_probe(self):
+        cache = gf4_cache()
+        addrs = [compose_address(cache.cfg, 2, t) for t in (0, 1, 0)]
+        obs = cache.observe_probe(1, iter(addrs))
+        assert obs == [(addrs[0], False), (addrs[1], False), (addrs[2], True)]
+
+
+class TestRowsDisjoint:
+    """The kernel's per-domain precondition is the per-way bijection."""
+
+    RING = BrokenModularRing(p=2, n=2, modulus=0b111)
+
+    @pytest.mark.parametrize("sp", [
+        *(SkewParams(f) for f in small_fields(16)),
+        SkewParams(FieldSpec.binary(3), a=3, b=5, c=6),
+        SkewParams(RING, a=1),
+        SkewParams(RING, a=2),
+    ], ids=repr)
+    def test_agrees_with_way_bijection(self, sp):
+        m = sp.field.order
+        broken = {v["t"] for v in verify_way_bijection(sp).violations}
+        for cfg in (galois_config(sp), stacked_config(sp, stack_bits=1)):
+            cache = build_cache(cfg)
+            assert [cache._rows_disjoint(t) for t in range(m)] == [
+                t not in broken for t in range(m)]
+        assert bool(broken) == (sp.a == 2 and sp.field is self.RING)
+
+    def test_conventional_rows_disjoint(self):
+        cache = build_cache(conventional_config(4, 4, "random"))
+        assert cache._rows_disjoint(0) and cache._rows_disjoint(7)
 
 
 class TestSnapshot:
@@ -483,6 +615,40 @@ class TestSnapshot:
         play(replayed, after)
         play(restored, after)
         assert _cache_state(restored) == _cache_state(replayed)
+
+    @pytest.mark.parametrize("cfg", [galois_config(SP4), conventional_config(4, 4, "lru")],
+                             ids=str)
+    def test_restore_writes_occupied_cells_in_place(self, cfg):
+        scratch = build_cache(cfg, 3)
+        for t in range(3):
+            scratch.access(1, compose_address(cfg, 2, t))
+        snap = scratch.snapshot()
+        assert [idx for idx, _ in snap.lines] == [
+            idx for idx, cell in enumerate(scratch._cells) if cell is not None]
+        for flushed in (False, True):
+            cache, replayed = build_cache(cfg, 5), build_cache(cfg, 5)
+            if flushed:
+                for c in (cache, replayed):
+                    c.access(0, 0x40)
+                    c.flush()
+            cells, stamps = cache._cells, cache._stamps
+            cache.restore(snap)
+            for t in range(3):
+                replayed.access(1, compose_address(cfg, 2, t))
+            assert cache._cells is cells and cache._stamps is stamps
+            assert _cache_state(cache) == _cache_state(replayed)
+
+    def test_restore_into_unflushed_cache_refused(self):
+        cfg = conventional_config(4, 4, "lru")
+        snap = build_cache(cfg).snapshot()
+        cache = build_cache(cfg)
+        cache.access(0, 0x40)
+        before = copy.deepcopy(_cache_state(cache))
+        with pytest.raises(ValueError, match="flush it first"):
+            cache.restore(snap)
+        assert _cache_state(cache) == before
+        cache.flush()
+        cache.restore(snap)
 
     def test_other_replacement_refused(self):
         lru = build_cache(conventional_config(4, 4, "lru"))

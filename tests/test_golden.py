@@ -46,11 +46,15 @@ CASES = {
     "attack_collusion_n3_log.csv":
         f"attack collusion --n 3 --trials 200 {ATTACK} --format csv",
     "attack_sweep_n2_n3.json": f"attack sweep --n-min 2 --n-max 3 --trials 2000 {ATTACK}",
+    # GF(5): five ways, so the eviction draw is a real % 5
+    "attack_collusion_gf5.json": f"attack collusion --p 5 --n 1 --trials 1000 {ATTACK}",
+    "attack_collusion_n4.json": f"attack collusion --n 4 --trials 600 {ATTACK}",
 }
 # golden report file: golden trial log written by the same run
 TRIAL_LOGS = {
     "attack_galois_pp_n3_log.csv": "attack_galois_pp_n3_trials.csv",
     "attack_collusion_n3_log.csv": "attack_collusion_n3_trials.csv",
+    "attack_collusion_gf5.json": "attack_collusion_gf5_trials.csv",
 }
 
 
