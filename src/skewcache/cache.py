@@ -43,12 +43,22 @@ probe-by-probe loop.  ``snapshot`` and ``restore`` put back the state
 that steps drawing no random number leave on a flushed cache, without
 replaying them.  LRU stamps are kept relative to the clock at the last
 flush and rebased onto the restoring cache's clock.
+
+One batch loop serves trace replay.  ``play`` accesses a stream of
+``(domain, op, addr)`` records in order.  It looks up a domain's row
+table, stats row and op counts once per call, and reads a row's cells
+with one ``operator.itemgetter`` per laid-out row, kept per domain
+(shared under the conventional layout).  The hit, first-free-way and
+victim choices are those of ``_access_line`` in the same way order, so
+cells, stats, LRU stamps, clock and random stream end as an ``access``
+per record leaves them; ``_access_line`` is its oracle.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .field import MAX_CELLS
@@ -246,6 +256,7 @@ class _BaseCache:
         self._flush_clock = 0  # the clock at the last flush
         self._disjoint: dict[int, bool] = {}
         self._groups: dict[tuple, _Group] = {}
+        self._readers: dict[int, list] = {}
 
     def _row_table(self, domain: int) -> list[Optional[tuple[int, ...]]]:
         """An empty row table for a domain's first access."""
@@ -375,6 +386,83 @@ class _BaseCache:
             self._clock += 1
             self._stamps[idx] = self._clock
         return False, idx, w, victim
+
+    def play(self, records) -> dict[int, dict[str, int]]:
+        """Access each ``(domain, op, addr)`` record in order; returns the
+        per-domain R/W counts (any op but ``"R"`` counts as a write).
+
+        The batch loop ``trace.replay`` runs: equal to an ``access`` of
+        each record, which stays its oracle, with the scan of
+        ``_access_line`` done on the tuple a row's ``itemgetter`` reads
+        in one C call.  Records are consumed lazily; a bad record raises
+        the ``ValueError`` of ``access`` with the records before it
+        played.
+        """
+        cells = self._cells
+        stamps, lru = self._stamps, self._lru
+        draw, ways, off, span = self.rng.getrandbits, self._ways, self._off, self._span
+        seen: dict[int, tuple] = {}  # domain -> its row table, readers, stats, R/W counts
+        clock = self._clock
+        try:
+            # stats slots _HITS.._SELF_EVICTIONS as literals 0..3, as in _access_line
+            for domain, op, addr in records:
+                if addr < 0:
+                    raise ValueError("addresses are unsigned")
+                mine = seen.get(domain)
+                if mine is None:
+                    rows = self._rows.get(domain)
+                    if rows is None:
+                        rows = self._rows[domain] = self._row_table(domain)
+                    stats = self._stats.get(domain)
+                    if stats is None:
+                        stats = self._stats[domain] = [0, 0, 0, 0]
+                    mine = seen[domain] = (rows, self._reader_table(domain), stats, [0, 0])
+                rows, readers, stats, counts = mine
+                counts[op != "R"] += 1
+                block = addr >> off
+                row = block % span
+                key = (domain, block // span)
+                read = readers[row]
+                if read is None:
+                    cand = self._row(domain, row)
+                    # a one-way row reads its cell twice, so a read is a tuple
+                    read = readers[row] = itemgetter(*cand, *cand) if ways == 1 \
+                        else itemgetter(*cand)
+                vals = read(cells)
+                if key in vals:
+                    stats[0] += 1
+                    if lru:
+                        clock += 1
+                        stamps[rows[row][vals.index(key)]] = clock
+                    continue
+                stats[1] += 1
+                if None in vals:
+                    w = vals.index(None)
+                else:
+                    if lru:
+                        ages = read(stamps)
+                        w = ages.index(min(ages))
+                    else:
+                        w = draw(64) % ways
+                    victim = vals[w]
+                    stats[3 if victim[0] == domain else 2] += 1
+                idx = rows[row][w]
+                cells[idx] = key
+                if lru:
+                    clock += 1
+                    stamps[idx] = clock
+        finally:
+            self._clock = clock
+        return {d: {"reads": counts[0], "writes": counts[1]}
+                for d, (_, _, _, counts) in seen.items()}
+
+    def _reader_table(self, domain: int) -> list:
+        """A domain's row readers for ``play``, one ``itemgetter`` per
+        laid-out row, built on first use; parallel to its row table."""
+        readers = self._readers.get(domain)
+        if readers is None:
+            readers = self._readers[domain] = [None] * self._span
+        return readers
 
     def fill_group(self, domain: int, addrs, max_rounds: int = 4096) -> int:
         """Access each address once, then probe the group in passes until
@@ -574,11 +662,15 @@ class ConventionalCache(_BaseCache):
     def __init__(self, cfg: CacheConfig, seed: int = 0):
         super().__init__(cfg, seed)
         self._shared_rows: list[Optional[tuple[int, ...]]] = [None] * self._span
+        self._shared_readers: list = [None] * self._span
 
     def _row_table(self, domain: int) -> list[Optional[tuple[int, ...]]]:
         if domain < 0:
             raise ValueError(f"domain id {domain} is negative")
         return self._shared_rows
+
+    def _reader_table(self, domain: int) -> list:
+        return self._shared_readers
 
     def _layout(self, domain: int, row: int) -> tuple[int, ...]:
         return tuple(range(row * self._ways, (row + 1) * self._ways))

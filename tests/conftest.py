@@ -1,8 +1,9 @@
 """Hypothesis profiles.
 
 ``HYPOTHESIS_PROFILE=ci`` loads a wide profile for the oracle tests of
-the cache's group kernels (``-k oracle`` in tests/test_cache.py), which
-read their example budget from it; every other test sets its own.
+the cache's group kernels and replay's batch loop (``-k oracle`` in
+tests/test_cache.py), which read their example budget from it; every
+other test sets its own.
 """
 
 import os

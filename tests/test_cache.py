@@ -2,6 +2,7 @@
 
 import copy
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +17,7 @@ from skewcache import (
     conventional_config,
     decompose_address,
     galois_config,
+    replay,
     stacked_config,
 )
 from skewcache.cache import KINDS
@@ -535,6 +537,91 @@ class TestProbeGroup:
         addrs = [compose_address(cache.cfg, 2, t) for t in (0, 1, 0)]
         obs = cache.observe_probe(1, iter(addrs))
         assert obs == [(addrs[0], False), (addrs[1], False), (addrs[2], True)]
+
+
+# replay's batch loop (``play``) against an ``access`` per record:
+# GF(4), GF(5) and GF(8), conventional caches under both replacements,
+# one-way ones among them, stacked k=1 and k=2, and the mod-4 ring with
+# a=2, whose rows overlap.
+REPLAY_CONFIGS = [
+    GF4_CFG,
+    galois_config(SkewParams(FieldSpec.prime(5))),
+    galois_config(SkewParams(FieldSpec.binary(3))),
+    conventional_config(4, 4, "lru"),
+    conventional_config(4, 4, "random"),
+    conventional_config(2, 1, "lru"),
+    conventional_config(4, 1, "random"),
+    stacked_config(SkewParams(FieldSpec.prime(3)), stack_bits=1),
+    stacked_config(SP4, stack_bits=2),
+    FILL_CONFIGS[-1],
+]
+
+
+@st.composite
+def replay_cases(draw):
+    """A cache config, a seed, records over a few rows and tags (so lines
+    repeat and rows fill past their ways), a split point, and an
+    optional bad record (out-of-range domain or negative address) with
+    its position."""
+    cfg = draw(st.sampled_from(REPLAY_CONFIGS))
+    rows = cfg.num_sets * cfg.num_instances
+    domains = min(cfg.num_domains or 4, 4)
+    hot_rows = draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=3))
+    record = st.tuples(st.integers(0, domains - 1), st.sampled_from("RW"),
+                       st.sampled_from(hot_rows), st.integers(0, cfg.num_ways + 2),
+                       st.integers(0, (1 << cfg.line_offset_bits) - 1))
+    records = [(d, op, _addr(cfg, r, t) | offset)
+               for d, op, r, t, offset in draw(st.lists(record, max_size=60))]
+    split = draw(st.integers(0, len(records)))
+    bad = draw(st.sampled_from([None, "domain", "addr"]))
+    if bad is not None:
+        bad_record = (-1 if cfg.num_domains is None else cfg.num_domains, "R", 0x40) \
+            if bad == "domain" else (0, "W", -0x40)
+        records.insert(draw(st.integers(0, len(records))), bad_record)
+    return cfg, draw(st.integers(0, 2**32 - 1)), records, split, bad is not None
+
+
+def _access_each(cache, records, ops):
+    """The oracle: ``access`` per record, adding its R/W counts to
+    ``ops``; returns the message of the ValueError that stops it."""
+    for d, op, addr in records:
+        try:
+            cache.access(d, addr)
+        except ValueError as exc:
+            return str(exc)
+        row = ops.setdefault(d, {"reads": 0, "writes": 0})
+        row["reads" if op == "R" else "writes"] += 1
+    return None
+
+
+class TestReplay:
+    @ORACLE_SETTINGS
+    @given(case=replay_cases())
+    def test_replay_matches_access_oracle(self, case):
+        cfg, seed, records, split, bad = case
+        player, split_player, oracle = (build_cache(cfg, seed) for _ in range(3))
+        expected = {}
+        error = _access_each(oracle, records[:split], expected)
+        stats_at_split = oracle.stats()
+        error = error or _access_each(oracle, records[split:], expected)
+        assert (error is not None) == bad
+        if error is None:
+            assert replay(player, iter(records)) == expected
+            # two calls on one stream, stats read between, as the benchmark splits
+            rest = iter(records)
+            ops = replay(split_player, islice(rest, split))
+            assert split_player.stats() == stats_at_split
+            for d, row in replay(split_player, rest).items():
+                merged = ops.setdefault(d, {"reads": 0, "writes": 0})
+                merged["reads"] += row["reads"]
+                merged["writes"] += row["writes"]
+            assert ops == expected
+            assert _cache_state(split_player) == _cache_state(oracle)
+        else:
+            with pytest.raises(ValueError) as exc:
+                replay(player, iter(records))
+            assert str(exc.value) == error
+        assert _cache_state(player) == _cache_state(oracle)
 
 
 class TestRowsDisjoint:

@@ -106,6 +106,19 @@ class TestSimulateCommand:
         assert code == 2
         assert err == "error: trace line 3: domain id 9 out of range for 4 domains\n"
 
+    @pytest.mark.parametrize("line,reason", [
+        ("+1 R 0x40", "bad domain id '+1'"),
+        ("٣ R 0x40", "bad domain id '٣'"),
+        ("1 W 0x_40", "bad hex address '0x_40'"),
+        ("1 W -40", "bad hex address '-40'"),
+    ])
+    def test_field_outside_the_grammar_names_its_line(self, tmp_path, capsys, line, reason):
+        trace = tmp_path / "bad.trace"
+        trace.write_text(f"0 R 0x40\n{line}\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "simulate", str(trace), "--n", "2")
+        assert code == 2
+        assert err == f"error: trace line 2: {reason}\n"
+
     def test_missing_trace_file(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "/nonexistent.trace")
         assert code == 2

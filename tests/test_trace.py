@@ -14,6 +14,7 @@ from skewcache import (
     parse_trace_lines,
     replay,
 )
+from skewcache.cache import GaloisCache, _BaseCache
 
 
 def test_parse_basic():
@@ -84,8 +85,13 @@ def test_formatted_records_parse_back(trace):
     assert parse_trace_lines(lines) == records
 
 
+# the domain is ASCII decimal digits, the address an optional 0x/0X and
+# ASCII hex digits: no sign, no underscore, no other script's digits
 BAD_LINES = ["0 R", "0 R 40 1", "x R 40", "1.0 R 40", "-3 R 40", "0 Q 40",
-             "0 R zz", "0 R 0xg", "0 R -40", f"{DOMAIN_MAX + 1} W 40"]
+             "0 R zz", "0 R 0xg", "0 R -40", f"{DOMAIN_MAX + 1} W 40",
+             "-0 R 40", "+1 R 40", "1_0 R 40", "0 R -0", "0 R +40", "0 R 4_0",
+             "0 R 0x_40", "\u0663 R 40", "0 R \u0663", "0 R 0x", "0 R x40",
+             "9" * 5000 + " R 40"]
 
 
 @settings(max_examples=100, deadline=None)
@@ -123,6 +129,34 @@ def test_replay_counts_ops_and_stats():
     stats = cache.stats()
     assert stats[0]["hits"] == 1 and stats[0]["misses"] == 1
     assert stats[1]["misses"] == 1
+
+
+def test_replay_calls_an_overridden_access_per_record(monkeypatch):
+    """A cache whose ``access`` is overridden gets one call per record;
+    a plain cache is played by the batch loop, with the same result."""
+    class CountingCache(GaloisCache):
+        calls = 0
+
+        def access(self, domain, addr):
+            self.calls += 1
+            return super().access(domain, addr)
+
+    cfg = galois_config(SkewParams(FieldSpec.binary(2)))
+    records = parse_trace_lines([f"{i % 3} {'RW'[i % 2]} {i * 0x40 % 0x900:x}"
+                                 for i in range(100)])
+    counting = CountingCache(cfg, 5)
+    ops = replay(counting, iter(records))
+    assert counting.calls == len(records)
+
+    played = []
+    play = _BaseCache.play
+    monkeypatch.setattr(_BaseCache, "play",
+                        lambda cache, recs: played.append(cache) or play(cache, recs))
+    plain = build_cache(cfg, 5)
+    assert replay(plain, iter(records)) == ops
+    assert played == [plain]
+    assert plain.stats() == counting.stats() and plain._cells == counting._cells
+    assert plain.rng.getstate() == counting.rng.getstate()
 
 
 def test_write_does_not_change_placement():
