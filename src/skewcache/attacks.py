@@ -6,8 +6,19 @@ it with base seed + trial index, draw the victim's activity coin
 (``victim_access_probability``, so false positives are measurable),
 flush, play the kind's protocol, tally the outcome into exactly one of
 tp/fp/fn/tn, and keep the optional trial row; finally build the report.
-Trials are independent and may be distributed across processes by
-splitting the trial range.
+
+The driver splits the trial range into contiguous shards, one per CPU
+in the process's affinity mask and each of at least
+``MIN_SHARD_TRIALS`` trials (one shard where the mask cannot be read).
+It forks a child per shard after the first, which this process plays;
+every process runs the same trial loop over its own range.  The merge
+adds the confusion counts, the domain stats and the kind's extra counts
+(``way_miss_counts``, ``per_set_confusion``) and joins the trial rows in
+trial order.  It is exact, so a report is byte-identical at any shard
+count: each trial reseeds itself, LRU stamps count from the last flush,
+and the cache and the extra counts hold nothing yet when the children
+fork.  ``taskset -c 0`` therefore gives a serial run, the same loop
+over the whole range.
 
 A kind splits off its first steps as a ``prefix``: baseline prime-probe
 and galois-pp the prime (galois-pp with the victim's warm-up),
@@ -54,7 +65,10 @@ Each kind supplies only its protocol steps:
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import random
+import signal
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -65,6 +79,13 @@ KINDS = ("baseline_pp", "galois_pp", "collusion")
 
 _WARM_TAG_BASE = 0x10000
 _TARGET_TAG = 0x2FFFF
+
+#: The fewest trials worth a shard of their own.  Forking a shard from a
+#: CLI-sized process (29 MiB), pickling its result back and reaping it
+#: took 2-3 ms on a 2-core x86-64 VM, and the cheapest trial kind there
+#: (galois-pp, n=2) ran at 20 us a trial, so 256 trials (5 ms) outweigh
+#: the cost of the shard that runs them.
+MIN_SHARD_TRIALS = 256
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -197,6 +218,84 @@ def _prefix_snapshot(sc: AttackScenario, prefix):
     return scratch.snapshot() if scratch.rng.getstate() == before else None
 
 
+def _shard_count(trials: int) -> int:
+    """One shard per CPU this process may run on, each of at least
+    ``MIN_SHARD_TRIALS`` trials; one where the CPU set cannot be read
+    (no ``os.sched_getaffinity``: macOS, Windows)."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+    return max(1, min(cpus, trials // MIN_SHARD_TRIALS))
+
+
+def _play_in_child(fd: int, play, first: int, stop: int):
+    """A forked shard: play it, pickle its result or its exception into
+    the pipe ``fd``, and leave through ``os._exit``, so that the child
+    never returns into its caller's code nor flushes the output buffers
+    it inherited."""
+    status = 1
+    try:
+        try:
+            outcome = (None, play(first, stop))
+        except BaseException as exc:  # sent to the parent, which raises it
+            outcome = (exc, None)
+        data = pickle.dumps(outcome)
+        with open(fd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_shards(trials: int, play) -> list:
+    """``play(first, stop)`` over contiguous shards of ``range(trials)``,
+    one per ``_shard_count``, and each shard's result in trial order.
+
+    This process plays the first shard; each other shard runs in a child
+    forked before any trial, which pickles its result back through a
+    pipe.  A shard's exception is raised here, the earliest shard's if
+    several fail, as a serial run would raise it.  Every child is reaped
+    before this returns or raises, and killed first if it is still
+    running then.
+    """
+    count = _shard_count(trials)
+    bounds = [trials * i // count for i in range(count + 1)]
+    running = []  # forked children not yet reaped, in trial order
+    pipes = []  # the read end of each child's pipe
+    try:
+        for first, stop in zip(bounds[1:-1], bounds[2:]):
+            read_end, write_end = os.pipe()
+            pipes.append(read_end)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _play_in_child(write_end, play, first, stop)
+            finally:
+                os.close(write_end)
+            running.append(pid)
+        results = [play(bounds[0], bounds[1])]
+        for pid, read_end in zip(list(running), pipes):
+            with open(read_end, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            running.remove(pid)
+            if not data:  # the child died, or its outcome did not pickle
+                raise RuntimeError(f"a trial shard ended with wait status {status} "
+                                   "and no result")
+            exc, result = pickle.loads(data)
+            if exc is not None:
+                raise exc
+            results.append(result)
+        return results
+    finally:
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for read_end in pipes:
+            os.close(read_end)
+
+
 def _run_trials(sc: AttackScenario, protocol, definition: str, prefix=None,
                 **extras) -> DetectionReport:
     """Run the scenario's trials of one protocol and report the tally.
@@ -207,32 +306,51 @@ def _run_trials(sc: AttackScenario, protocol, definition: str, prefix=None,
     returns ``(detected, correct, row_fields)``: ``correct`` says the
     inference names the victim's set (it equals ``detected`` for the
     prime-probe kinds), and ``row_fields`` extend the trial row.  Each
-    trial adds to exactly one confusion cell.
+    trial adds to exactly one confusion cell.  Each ``extras`` value is
+    a list of counts, or of lists of counts, that the protocol adds to;
+    the shards' counts are summed into it.
     """
     cache = build_cache(sc.cache, sc.seed)
     snapshot = _prefix_snapshot(sc, prefix)
-    tp = fp = fn = tn = 0
-    rows = [] if sc.record_trials else None
-    for trial in range(sc.trials):
-        cache.reseed(sc.seed + trial)
-        active = _trial_active(cache.rng, sc.victim_access_probability)
-        cache.flush()
-        if snapshot is not None:
-            cache.restore(snapshot)
-        elif prefix is not None:
-            prefix(cache)
-        detected, correct, row_fields = protocol(cache, active)
-        if active and correct:
-            tp += 1
-        elif detected:
-            fp += 1
-        elif active:
-            fn += 1
-        else:
-            tn += 1
+
+    def play(first: int, stop: int):
+        tp = fp = fn = tn = 0
+        rows = [] if sc.record_trials else None
+        for trial in range(first, stop):
+            cache.reseed(sc.seed + trial)
+            active = _trial_active(cache.rng, sc.victim_access_probability)
+            cache.flush()
+            if snapshot is not None:
+                cache.restore(snapshot)
+            elif prefix is not None:
+                prefix(cache)
+            detected, correct, row_fields = protocol(cache, active)
+            if active and correct:
+                tp += 1
+            elif detected:
+                fp += 1
+            elif active:
+                fn += 1
+            else:
+                tn += 1
+            if rows is not None:
+                rows.append({"trial": trial, "active": active, "detected": detected,
+                             **row_fields})
+        return [tp, fp, fn, tn], rows, cache.stats(), extras
+
+    (counts, rows, stats, _), *others = _run_shards(sc.trials, play)
+    # this process's shard counted into ``extras`` itself; add the others
+    for part_counts, part_rows, part_stats, part_extras in others:
+        _add_counts(counts, part_counts)
         if rows is not None:
-            rows.append({"trial": trial, "active": active, "detected": detected,
-                         **row_fields})
+            rows.extend(part_rows)
+        for d, row in part_stats.items():
+            total = stats.setdefault(d, dict.fromkeys(row, 0))
+            for key, value in row.items():
+                total[key] += value
+        for name, value in part_extras.items():
+            _add_counts(extras[name], value)
+    tp, fp, fn, tn = counts
     lo, hi = wilson_interval(tp + fp, sc.trials)
     return DetectionReport(
         kind=sc.kind,
@@ -245,10 +363,19 @@ def _run_trials(sc: AttackScenario, protocol, definition: str, prefix=None,
         ci_low=lo,
         ci_high=hi,
         detection_definition=definition,
-        domain_stats=cache.stats(),
+        domain_stats=dict(sorted(stats.items())),
         trial_rows=rows,
         **extras,
     )
+
+
+def _add_counts(total: list, part: list) -> None:
+    """Add ``part`` into ``total`` elementwise, into nested lists too."""
+    for i, value in enumerate(part):
+        if isinstance(value, list):
+            _add_counts(total[i], value)
+        else:
+            total[i] += value
 
 
 def fill_domain_set(cache, domain: int, addrs, max_rounds: int = 4096) -> int:

@@ -317,6 +317,8 @@ def _write_trial_log(path, rows: list[dict]) -> None:
 def cmd_attack(cfg: dict) -> int:
     which = cfg["which"]
     if which == "sweep":
+        if cfg["trial_log"]:
+            raise ValueError("--trial-log is not read by attack sweep")
         n_range = range(cfg["n_min"], cfg["n_max"] + 1)
         swept = cfg["sweep_kind"].replace("-", "_")
         rows = sweep_detection_vs_field(
@@ -421,7 +423,9 @@ _OUTPUT_FILES = ("output", "trial_log")
 
 
 def _check_output_files(cfg: dict) -> None:
-    """Refuse, before any work runs, an output file that cannot be created."""
+    """Refuse, before any work runs, an output file that cannot be created,
+    or one that two options name."""
+    seen = {}  # real path -> flag naming it
     for name in _OUTPUT_FILES:
         path = cfg.get(name)
         if not path:
@@ -432,6 +436,9 @@ def _check_output_files(cfg: dict) -> None:
             raise ValueError(f"{flag} {path}: {parent} is not an existing directory")
         if os.path.isdir(path):
             raise ValueError(f"{flag} {path} is a directory")
+        other = seen.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            raise ValueError(f"{flag} {path} names the same file as {other}")
 
 
 def main(argv=None) -> int:

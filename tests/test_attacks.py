@@ -7,6 +7,8 @@ can and cannot infer, and that everything replays bit-identically.
 
 import dataclasses
 import json
+import os
+import time
 
 import pytest
 
@@ -473,3 +475,126 @@ class TestSweepAndReportPlumbing:
         assert parsed["trials"] == 20
         assert parsed["kind"] == "baseline_pp"
         assert "detection_definition" in parsed
+
+
+def _serial_and_sharded(monkeypatch, sc):
+    """The reports of ``sc`` with the shard count forced to 1, 2 and 3."""
+    reports = []
+    for count in (1, 2, 3):
+        monkeypatch.setattr(attacks, "_shard_count", lambda trials, count=count: count)
+        reports.append(run_scenario(sc))
+    return reports
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSharding:
+    @pytest.mark.parametrize("sc", [
+        baseline_scenario(cache=conventional_config(4, 4, "lru")),
+        baseline_scenario(cache=conventional_config(4, 4, "random")),
+        default_scenario("galois_pp", galois_config(SkewParams(FieldSpec.binary(3))), 1),
+        default_scenario("collusion", galois_config(SkewParams(FieldSpec.prime(5))), 1),
+        default_scenario("collusion", galois_config(SkewParams(FieldSpec.binary(3))), 1),
+    ], ids=["baseline-lru", "baseline-random", "galois-pp-n3", "collusion-gf5",
+            "collusion-n3"])
+    # not divisible by 2 or 3, fewer trials than shards, none
+    @pytest.mark.parametrize("trials", [301, 2, 0])
+    def test_sharded_equals_serial(self, monkeypatch, sc, trials):
+        sc = dataclasses.replace(sc, trials=trials, seed=17, victim_access_probability=0.5,
+                                 record_trials=True)
+        serial, *sharded = _serial_and_sharded(monkeypatch, sc)
+        assert len(serial.trial_rows) == trials
+        for report in sharded:
+            assert report.to_dict() == serial.to_dict()
+            assert report.trial_rows == serial.trial_rows
+            assert report.way_miss_counts == serial.way_miss_counts
+            assert report.per_set_confusion == serial.per_set_confusion
+            assert list(report.domain_stats.items()) == list(serial.domain_stats.items())
+        if trials > 100:  # the victim was seen, so the shards had work to merge
+            assert serial.true_positives + serial.false_positives > 0
+        _no_child_left()
+
+    def test_shard_count_follows_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        per = attacks.MIN_SHARD_TRIALS
+        assert [attacks._shard_count(t) for t in (0, per - 1, per, 3 * per - 1, 100 * per)] \
+            == [1, 1, 1, 2, 8]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert attacks._shard_count(100 * per) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert attacks._shard_count(100 * per) == 1
+
+    def _failing(self, monkeypatch, fail):
+        """``_run_trials`` over 300 trials in three shards of 100, whose
+        protocol raises ``fail(trial)`` when that is not None."""
+        monkeypatch.setattr(attacks, "_shard_count", lambda trials: 3)
+        sc = baseline_scenario(trials=300)
+        trial_of = {}
+        reseed = _BaseCache.reseed
+
+        def spy(cache, seed):
+            trial_of[cache] = seed - sc.seed
+            reseed(cache, seed)
+
+        monkeypatch.setattr(_BaseCache, "reseed", spy)
+
+        def protocol(cache, active):
+            exc = fail(trial_of[cache])
+            if exc is not None:
+                raise exc
+            return False, False, {}
+
+        return lambda: _run_trials(sc, protocol, "scripted")
+
+    def test_child_error_raised_in_parent(self, monkeypatch):
+        run = self._failing(
+            monkeypatch, lambda t: ValueError(f"trial {t}") if t >= 100 else None)
+        with pytest.raises(ValueError, match=r"^trial 100$"):
+            run()
+        _no_child_left()
+
+    def test_earliest_failing_shard_wins(self, monkeypatch):
+        run = self._failing(monkeypatch, lambda t: (
+            KeyError(t) if t >= 200 else ValueError(f"trial {t}") if t >= 150 else None))
+        with pytest.raises(ValueError, match=r"^trial 150$"):
+            run()
+        _no_child_left()
+
+    def test_child_without_result(self, monkeypatch):
+        class Local(Exception):  # a local class does not pickle
+            pass
+
+        run = self._failing(monkeypatch, lambda t: Local() if t >= 100 else None)
+        with pytest.raises(RuntimeError, match="a trial shard ended .* no result"):
+            run()
+        _no_child_left()
+
+    @pytest.mark.parametrize("exc", [ValueError, KeyboardInterrupt])
+    def test_parent_error_kills_children(self, monkeypatch, exc):
+        # each child sleeps for a minute in its first trial: only a kill
+        # lets the run end at once
+        def fail(trial):
+            if trial in (100, 200):
+                time.sleep(60)
+            elif trial == 50:
+                return exc("parent shard")
+            return None
+
+        run = self._failing(monkeypatch, fail)
+        start = time.monotonic()
+        with pytest.raises(exc, match="parent shard"):
+            run()
+        assert time.monotonic() - start < 30
+        _no_child_left()
+
+    def test_children_leave_without_flushing(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(attacks, "_shard_count", lambda trials: 3)
+        path = tmp_path / "buffered"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("written once")  # still in the buffer when the children fork
+            run_scenario(baseline_scenario(trials=30))
+        assert path.read_text() == "written once"
+        _no_child_left()

@@ -202,6 +202,37 @@ class TestAttackCommand:
         assert len(rows) == 25
         assert {"trial", "active", "detected"} <= set(rows[0])
 
+    def test_sweep_refuses_trial_log(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(attacks, "run_scenario", _refuse)
+        log = tmp_path / "trials.csv"
+        code, out, err = run_cli(capsys, "attack", "sweep", "--trials", "30",
+                                 "--trial-log", str(log))
+        assert code == 2
+        assert out == ""
+        assert err == "error: --trial-log is not read by attack sweep\n"
+        assert not log.exists()
+
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_trial_log_and_output_same_file(self, tmp_path, monkeypatch, capsys,
+                                            via_config):
+        monkeypatch.setattr(attacks, "_run_trials", _refuse)
+        report = tmp_path / "report.json"
+        # the same file, reached by another spelling of its path
+        log = tmp_path / "sub" / ".." / "report.json"
+        (tmp_path / "sub").mkdir()
+        argv = ["attack", "galois-pp", "--trials", "30", "--output", str(report)]
+        if via_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"trial_log": str(log)}))
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--trial-log", str(log)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --trial-log {log} names the same file as --output\n"
+        assert not report.exists()
+
     def test_invalid_domains_rejected(self, capsys):
         code, _, err = run_cli(capsys, "attack", "galois-pp", "--n", "2",
                                "--victim-domain", "7")
