@@ -7,18 +7,18 @@ it with base seed + trial index, draw the victim's activity coin
 flush, play the kind's protocol, tally the outcome into exactly one of
 tp/fp/fn/tn, and keep the optional trial row; finally build the report.
 
-The driver splits the trial range into contiguous shards, one per CPU
-in the process's affinity mask and each of at least
-``MIN_SHARD_TRIALS`` trials (one shard where the mask cannot be read).
-It forks a child per shard after the first, which this process plays;
-every process runs the same trial loop over its own range.  The merge
-adds the confusion counts, the domain stats and the kind's extra counts
-(``way_miss_counts``, ``per_set_confusion``) and joins the trial rows in
-trial order.  It is exact, so a report is byte-identical at any shard
-count: each trial reseeds itself, LRU stamps count from the last flush,
-and the cache and the extra counts hold nothing yet when the children
-fork.  ``taskset -c 0`` therefore gives a serial run, the same loop
-over the whole range.
+The driver splits the trial range into contiguous shards, one per CPU in
+the process's affinity mask and each of at least ``MIN_SHARD_TRIALS``
+trials (one shard where the mask cannot be read). It forks a child per
+shard after the first, which this process plays; every process runs the
+same trial loop over its own range, pinned to a CPU of its own. The
+merge adds the confusion counts, the domain stats and the kind's extra
+counts (``way_miss_counts``, ``per_set_confusion``) and joins the trial
+rows in trial order. It is exact, so a report is byte-identical at any
+shard count: each trial reseeds itself, LRU stamps count from the last
+flush, and the cache and the extra counts hold nothing yet when the
+children fork. ``taskset -c 0`` therefore gives a serial run, the same
+loop over the whole range.
 
 A kind splits off its first steps as a ``prefix``: baseline prime-probe
 and galois-pp the prime (galois-pp with the victim's warm-up),
@@ -229,6 +229,21 @@ def _shard_count(trials: int) -> int:
     return max(1, min(cpus, trials // MIN_SHARD_TRIALS))
 
 
+def _pin(pid: int, cpus) -> None:
+    """Let process ``pid`` (0: this one) run only on ``cpus``.
+
+    Left to the scheduler, a shard and the child forked from it were
+    seen to share one CPU for a whole run while the other stood idle,
+    in 10 of 48 collusion commands on a 2-core VM, which took the gain
+    of sharding from those commands.  Where a shard runs changes its
+    speed only, never its result, so a refused placement is ignored.
+    """
+    try:
+        os.sched_setaffinity(pid, cpus)
+    except (AttributeError, OSError):
+        pass
+
+
 def _play_in_child(fd: int, play, first: int, stop: int):
     """A forked shard: play it, pickle its result or its exception into
     the pipe ``fd``, and leave through ``os._exit``, so that the child
@@ -254,17 +269,20 @@ def _run_shards(trials: int, play) -> list:
 
     This process plays the first shard; each other shard runs in a child
     forked before any trial, which pickles its result back through a
-    pipe.  A shard's exception is raised here, the earliest shard's if
-    several fail, as a serial run would raise it.  Every child is reaped
-    before this returns or raises, and killed first if it is still
-    running then.
+    pipe.  Each shard is pinned to a CPU of its own (in turn, when there
+    are more shards than CPUs), and this process gets its CPU set back
+    at the end.  A shard's exception is raised here, the earliest
+    shard's if several fail, as a serial run would raise it.  Every
+    child is reaped before this returns or raises, and killed first if
+    it is still running then.
     """
     count = _shard_count(trials)
     bounds = [trials * i // count for i in range(count + 1)]
+    cpus = sorted(os.sched_getaffinity(0)) if count > 1 else []
     running = []  # forked children not yet reaped, in trial order
     pipes = []  # the read end of each child's pipe
     try:
-        for first, stop in zip(bounds[1:-1], bounds[2:]):
+        for shard, (first, stop) in enumerate(zip(bounds[1:-1], bounds[2:]), 1):
             read_end, write_end = os.pipe()
             pipes.append(read_end)
             try:
@@ -274,6 +292,9 @@ def _run_shards(trials: int, play) -> list:
             finally:
                 os.close(write_end)
             running.append(pid)
+            _pin(pid, {cpus[shard % len(cpus)]})
+        if cpus:
+            _pin(0, {cpus[0]})
         results = [play(bounds[0], bounds[1])]
         for pid, read_end in zip(list(running), pipes):
             with open(read_end, "rb", closefd=False) as pipe:
@@ -294,6 +315,8 @@ def _run_shards(trials: int, play) -> list:
             os.waitpid(pid, 0)
         for read_end in pipes:
             os.close(read_end)
+        if cpus:
+            _pin(0, cpus)
 
 
 def _run_trials(sc: AttackScenario, protocol, definition: str, prefix=None,

@@ -527,6 +527,30 @@ class TestSharding:
         monkeypatch.delattr(os, "sched_getaffinity")
         assert attacks._shard_count(100 * per) == 1
 
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_each_shard_pinned_to_its_own_cpu(self, monkeypatch, fails):
+        placed = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5, 3})
+        monkeypatch.setattr(os, "sched_setaffinity",
+                            lambda pid, cpus: placed.append((pid, set(cpus))))
+        monkeypatch.setattr(attacks, "_shard_count", lambda trials: 3)
+
+        def play(first, stop):
+            if fails:
+                raise ValueError("parent shard")
+            return first
+
+        if fails:
+            with pytest.raises(ValueError, match="parent shard"):
+                attacks._run_shards(30, play)
+        else:
+            assert attacks._run_shards(30, play) == [0, 10, 20]
+        # two children on the CPUs after the parent's, in turn; the
+        # parent on the first CPU, then on its whole set again
+        assert [cpus for _, cpus in placed] == [{5}, {3}, {3}, {3, 5}]
+        assert [pid != 0 for pid, _ in placed] == [True, True, False, False]
+        _no_child_left()
+
     def _failing(self, monkeypatch, fail):
         """``_run_trials`` over 300 trials in three shards of 100, whose
         protocol raises ``fail(trial)`` when that is not None."""
