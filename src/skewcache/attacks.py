@@ -7,18 +7,9 @@ it with base seed + trial index, draw the victim's activity coin
 flush, play the kind's protocol, tally the outcome into exactly one of
 tp/fp/fn/tn, and keep the optional trial row; finally build the report.
 
-The driver splits the trial range into contiguous shards, one per CPU in
-the process's affinity mask and each of at least ``MIN_SHARD_TRIALS``
-trials (one shard where the mask cannot be read). It forks a child per
-shard after the first, which this process plays; every process runs the
-same trial loop over its own range, pinned to a CPU of its own. The
-merge adds the confusion counts, the domain stats and the kind's extra
-counts (``way_miss_counts``, ``per_set_confusion``) and joins the trial
-rows in trial order. It is exact, so a report is byte-identical at any
-shard count: each trial reseeds itself, LRU stamps count from the last
-flush, and the cache and the extra counts hold nothing yet when the
-children fork. ``taskset -c 0`` therefore gives a serial run, the same
-loop over the whole range.
+The driver plays the trials in contiguous shards, in forked children
+on the process's CPUs, at least ``MIN_SHARD_TRIALS`` trials a shard;
+the ``shards`` module describes the runner and why the merge is exact.
 
 A kind splits off its first steps as a ``prefix``: baseline prime-probe
 and galois-pp the prime (galois-pp with the victim's warm-up),
@@ -65,14 +56,12 @@ Each kind supplies only its protocol steps:
 from __future__ import annotations
 
 import math
-import os
-import pickle
 import random
-import signal
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .cache import CacheConfig, build_cache, compose_address
+from .shards import _run_shards
 from .skew import permute, set_through_cell, solve_intersection_way
 
 KINDS = ("baseline_pp", "galois_pp", "collusion")
@@ -218,107 +207,6 @@ def _prefix_snapshot(sc: AttackScenario, prefix):
     return scratch.snapshot() if scratch.rng.getstate() == before else None
 
 
-def _shard_count(trials: int) -> int:
-    """One shard per CPU this process may run on, each of at least
-    ``MIN_SHARD_TRIALS`` trials; one where the CPU set cannot be read
-    (no ``os.sched_getaffinity``: macOS, Windows)."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        return 1
-    return max(1, min(cpus, trials // MIN_SHARD_TRIALS))
-
-
-def _pin(pid: int, cpus) -> None:
-    """Let process ``pid`` (0: this one) run only on ``cpus``.
-
-    Left to the scheduler, a shard and the child forked from it were
-    seen to share one CPU for a whole run while the other stood idle,
-    in 10 of 48 collusion commands on a 2-core VM, which took the gain
-    of sharding from those commands.  Where a shard runs changes its
-    speed only, never its result, so a refused placement is ignored.
-    """
-    try:
-        os.sched_setaffinity(pid, cpus)
-    except (AttributeError, OSError):
-        pass
-
-
-def _play_in_child(fd: int, play, first: int, stop: int):
-    """A forked shard: play it, pickle its result or its exception into
-    the pipe ``fd``, and leave through ``os._exit``, so that the child
-    never returns into its caller's code nor flushes the output buffers
-    it inherited."""
-    status = 1
-    try:
-        try:
-            outcome = (None, play(first, stop))
-        except BaseException as exc:  # sent to the parent, which raises it
-            outcome = (exc, None)
-        data = pickle.dumps(outcome)
-        with open(fd, "wb") as pipe:
-            pipe.write(data)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _run_shards(trials: int, play) -> list:
-    """``play(first, stop)`` over contiguous shards of ``range(trials)``,
-    one per ``_shard_count``, and each shard's result in trial order.
-
-    This process plays the first shard; each other shard runs in a child
-    forked before any trial, which pickles its result back through a
-    pipe.  Each shard is pinned to a CPU of its own (in turn, when there
-    are more shards than CPUs), and this process gets its CPU set back
-    at the end.  A shard's exception is raised here, the earliest
-    shard's if several fail, as a serial run would raise it.  Every
-    child is reaped before this returns or raises, and killed first if
-    it is still running then.
-    """
-    count = _shard_count(trials)
-    bounds = [trials * i // count for i in range(count + 1)]
-    cpus = sorted(os.sched_getaffinity(0)) if count > 1 else []
-    running = []  # forked children not yet reaped, in trial order
-    pipes = []  # the read end of each child's pipe
-    try:
-        for shard, (first, stop) in enumerate(zip(bounds[1:-1], bounds[2:]), 1):
-            read_end, write_end = os.pipe()
-            pipes.append(read_end)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _play_in_child(write_end, play, first, stop)
-            finally:
-                os.close(write_end)
-            running.append(pid)
-            _pin(pid, {cpus[shard % len(cpus)]})
-        if cpus:
-            _pin(0, {cpus[0]})
-        results = [play(bounds[0], bounds[1])]
-        for pid, read_end in zip(list(running), pipes):
-            with open(read_end, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            running.remove(pid)
-            if not data:  # the child died, or its outcome did not pickle
-                raise RuntimeError(f"a trial shard ended with wait status {status} "
-                                   "and no result")
-            exc, result = pickle.loads(data)
-            if exc is not None:
-                raise exc
-            results.append(result)
-        return results
-    finally:
-        for pid in running:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for read_end in pipes:
-            os.close(read_end)
-        if cpus:
-            _pin(0, cpus)
-
-
 def _run_trials(sc: AttackScenario, protocol, definition: str, prefix=None,
                 **extras) -> DetectionReport:
     """Run the scenario's trials of one protocol and report the tally.
@@ -361,7 +249,7 @@ def _run_trials(sc: AttackScenario, protocol, definition: str, prefix=None,
                              **row_fields})
         return [tp, fp, fn, tn], rows, cache.stats(), extras
 
-    (counts, rows, stats, _), *others = _run_shards(sc.trials, play)
+    (counts, rows, stats, _), *others = _run_shards(sc.trials, play, MIN_SHARD_TRIALS)
     # this process's shard counted into ``extras`` itself; add the others
     for part_counts, part_rows, part_stats, part_extras in others:
         _add_counts(counts, part_counts)

@@ -28,6 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .field import MAX_CELLS, FieldSpec
+from .shards import _run_shards
 
 
 @dataclass(frozen=True)
@@ -151,32 +152,39 @@ def _way_bijective(table: np.ndarray) -> np.ndarray:
     return np.array([(np.sort(rows, axis=0) == sets).all(axis=0) for rows in table])
 
 
-def _predictor(sp: SkewParams):
-    """pred(t, t2)[d]: the closed-form way where domain t's set s meets
-    domain t2's set s + d, or -1 where the solver fails.
+def _predictor(sp: SkewParams) -> tuple[np.ndarray, np.ndarray]:
+    """(deltas, pred): deltas[t, t2] is the domain difference t - t2 of
+    each pair of distinct domains, and pred[delta, d] the closed-form way
+    where domain t's set s meets domain t2's set s + d, for any pair of
+    that difference, or -1 where the solver fails.
 
     The closed form factors through the domain and set-index
-    differences, so one vector per domain difference suffices (the full
+    differences, so one row per domain difference suffices (the full
     per-tuple agreement for small orders is pinned separately by the
-    solver tests).  Unsolvable entries occur when the arithmetic is not
-    a field.
+    solver tests).  Each row is solved for the first pair, in (t, t2)
+    order, with its difference.  Unsolvable entries occur when the
+    arithmetic is not a field.  Both tables are built up front, so the
+    verifier's shards read them and make no field call.
     """
     f = sp.field
-    cache: dict[int, np.ndarray] = {}
-
-    def pred(t: int, t2: int) -> np.ndarray:
-        delta = f.sub(t, t2)
-        row = cache.get(delta)
-        if row is None:
-            row = cache[delta] = np.empty(f.order, dtype=np.int16)
-            for d in range(f.order):
+    m = f.order
+    deltas = np.zeros((m, m), dtype=np.intp)
+    pred = np.full((m, m), -1, dtype=np.int16)
+    solved = set()
+    for t in range(m):
+        for t2 in range(m):
+            if t2 == t:
+                continue
+            delta = deltas[t, t2] = f.sub(t, t2)
+            if delta in solved:
+                continue
+            solved.add(delta)
+            for d in range(m):
                 try:
-                    row[d] = solve_intersection_way(sp, t, t2, 0, d)
+                    pred[delta, d] = solve_intersection_way(sp, t, t2, 0, d)
                 except (ValueError, ZeroDivisionError):
-                    row[d] = -1
-        return row
-
-    return pred
+                    pass
+    return deltas, pred
 
 
 def _pair_violations(table, t, t2, pred_by_diff, diff) -> list[dict]:
@@ -203,23 +211,32 @@ def _verify_diagonalization_direct(sp: SkewParams) -> VerificationReport:
     """The m^5 reference: compare every (t, t2, s, s2, w) tuple.
 
     The fallback of verify_diagonalization when some way is not
-    bijective, and its test oracle.
+    bijective, and its test oracle; it runs serially.
     """
     m = sp.field.order
     table = layout_table(sp)
     diff = _difference_table(sp.field)
-    pred = _predictor(sp)
+    deltas, pred = _predictor(sp)
     violations: list[dict] = []
     for t in range(m):
         for t2 in range(m):
             if t2 != t:
-                violations += _pair_violations(table, t, t2, pred(t, t2), diff)
+                violations += _pair_violations(table, t, t2, pred[deltas[t, t2]], diff)
     return VerificationReport(checked=m ** 3 * (m - 1), violations=violations)
 
 
 #: Elements per block of (domain pair, set, way) in the m^4 verifier;
 #: bounds its temporaries to a few hundred KiB whatever the field order.
 _BLOCK = 1 << 15
+
+#: The fewest domains worth a verifier shard of their own.  Forking a
+#: shard, pickling its violations back and reaping it took 3 ms on a
+#: 2-core x86-64 VM, and a forked shard runs its block loop slower than
+#: the parent (copy-on-write faults, cold caches).  In 40 interleaved
+#: runs each, two shards against one broke even at GF(32) (19 ms serial,
+#: faster in 19) and won from GF(37) on (34 -> 28 ms, faster in 33), so
+#: 18 domains a shard puts the first split at order 36.
+MIN_SHARD_DOMAINS = 18
 
 
 def verify_diagonalization(sp: SkewParams) -> VerificationReport:
@@ -242,37 +259,49 @@ def verify_diagonalization(sp: SkewParams) -> VerificationReport:
     table with a non-bijective way is checked directly throughout, so
     the violations and their order are those of
     _verify_diagonalization_direct.
+
+    The domains t are checked in contiguous shards on the process's CPUs
+    (``shards._run_shards``, at least ``MIN_SHARD_DOMAINS`` a shard).
+    Every table a shard reads is built before the fork, and the shards'
+    violations are joined in t order, so the report is the same at any
+    shard count.
     """
     m = sp.field.order
     table = layout_table(sp)
     if not _way_bijective(table).all():
         return _verify_diagonalization_direct(sp)
     diff = _difference_table(sp.field)
-    pred = _predictor(sp)
+    deltas, pred = _predictor(sp)
     ways = np.arange(m)
     inv = np.empty((m, m, m), dtype=np.int16)
     for t in range(m):
         inv[t, table[t], ways] = np.arange(m)[:, None]
-    # flat indices: inv[t2, p, w] at (t2*m + p)*m + w, diff[s, s2] at s*m + s2
-    inv, flat_diff = inv.reshape(-1), diff.reshape(-1)
+    # flat indices: inv[t2, p, w] at (t2*m + p)*m + w, diff[s, s2] at
+    # s*m + s2, pred[delta, d] at delta*m + d
+    flat_inv, flat_diff, flat_pred = inv.reshape(-1), diff.reshape(-1), pred.reshape(-1)
     set_rows = np.arange(m)[:, None] * m
     step = max(1, _BLOCK // (m * m))
-    violations: list[dict] = []
-    for t in range(m):
-        cells = table[t].astype(np.intp) * m + ways
-        others = [t2 for t2 in range(m) if t2 != t]
-        for i in range(0, m - 1, step):
-            chunk = others[i:i + step]
-            # s2[k, s, w]: the set of domain chunk[k] meeting (t, s) in way w
-            s2 = inv[np.array(chunk)[:, None, None] * (m * m) + cells]
-            d = flat_diff[set_rows + s2]
-            preds = np.concatenate([pred(t, t2) for t2 in chunk])
-            k = np.arange(len(chunk))[:, None, None] * m
-            clean = (preds[k + d] == ways).all(axis=(1, 2))
-            for j in np.flatnonzero(~clean):
-                t2 = chunk[j]
-                violations += _pair_violations(table, t, t2, pred(t, t2), diff)
-    return VerificationReport(checked=m ** 3 * (m - 1), violations=violations)
+
+    def check(first: int, stop: int) -> list[dict]:
+        violations: list[dict] = []
+        for t in range(first, stop):
+            cells = table[t].astype(np.intp) * m + ways
+            others = np.delete(ways, t)
+            for i in range(0, m - 1, step):
+                chunk = others[i:i + step]
+                # s2[k, s, w]: the set of domain chunk[k] meeting (t, s) in way w
+                s2 = flat_inv[chunk[:, None, None] * (m * m) + cells]
+                d = flat_diff[set_rows + s2]
+                solved = flat_pred[(deltas[t, chunk] * m)[:, None, None] + d]
+                clean = (solved == ways).all(axis=(1, 2))
+                for j in np.flatnonzero(~clean):
+                    t2 = int(chunk[j])
+                    violations += _pair_violations(table, t, t2, pred[deltas[t, t2]], diff)
+        return violations
+
+    parts = _run_shards(m, check, MIN_SHARD_DOMAINS)
+    return VerificationReport(checked=m ** 3 * (m - 1),
+                              violations=[v for part in parts for v in part])
 
 
 def verify_way_bijection(sp: SkewParams) -> VerificationReport:

@@ -9,7 +9,10 @@ that the observation interface hides, and the probe-by-probe group
 fill is the reference for the cache's ``fill_group`` kernel.
 """
 
+import os
+
 import numpy as np
+import pytest
 
 from skewcache import FieldSpec, permute
 
@@ -151,3 +154,9 @@ def fill_group_oracle(cache, domain: int, addrs, max_rounds: int = 4096) -> int:
         if all(probe(domain, a) for a in addrs):
             return round_no
     raise RuntimeError(f"set not resident after {max_rounds} probe passes")
+
+
+def no_child_left():
+    """Assert that this process has no child left, reaped or not."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -31,11 +31,11 @@ from skewcache import (
     sweep_detection_vs_field,
     wilson_interval,
 )
-from skewcache import attacks
+from skewcache import attacks, shards, skew
 from skewcache.attacks import _run_trials
 from skewcache.cache import _BaseCache
 
-from support import domain_lines_in_set, line_at
+from support import domain_lines_in_set, line_at, no_child_left
 
 GF4 = FieldSpec.binary(2)
 SP4 = SkewParams(GF4)
@@ -481,14 +481,9 @@ def _serial_and_sharded(monkeypatch, sc):
     """The reports of ``sc`` with the shard count forced to 1, 2 and 3."""
     reports = []
     for count in (1, 2, 3):
-        monkeypatch.setattr(attacks, "_shard_count", lambda trials, count=count: count)
+        monkeypatch.setattr(shards, "_shard_count", lambda work, min_work, count=count: count)
         reports.append(run_scenario(sc))
     return reports
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class TestSharding:
@@ -515,17 +510,19 @@ class TestSharding:
             assert list(report.domain_stats.items()) == list(serial.domain_stats.items())
         if trials > 100:  # the victim was seen, so the shards had work to merge
             assert serial.true_positives + serial.false_positives > 0
-        _no_child_left()
+        no_child_left()
 
     def test_shard_count_follows_the_affinity_mask(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-        per = attacks.MIN_SHARD_TRIALS
-        assert [attacks._shard_count(t) for t in (0, per - 1, per, 3 * per - 1, 100 * per)] \
-            == [1, 1, 1, 2, 8]
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert attacks._shard_count(100 * per) == 1
-        monkeypatch.delattr(os, "sched_getaffinity")
-        assert attacks._shard_count(100 * per) == 1
+        # the attacks' minimum in trials and the verifier's in domains
+        for per in (attacks.MIN_SHARD_TRIALS, skew.MIN_SHARD_DOMAINS):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                                raising=False)
+            assert [shards._shard_count(w, per)
+                    for w in (0, per - 1, per, 3 * per - 1, 100 * per)] == [1, 1, 1, 2, 8]
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            assert shards._shard_count(100 * per, per) == 1
+            monkeypatch.delattr(os, "sched_getaffinity")
+            assert shards._shard_count(100 * per, per) == 1
 
     @pytest.mark.parametrize("fails", [False, True])
     def test_each_shard_pinned_to_its_own_cpu(self, monkeypatch, fails):
@@ -533,7 +530,7 @@ class TestSharding:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5, 3})
         monkeypatch.setattr(os, "sched_setaffinity",
                             lambda pid, cpus: placed.append((pid, set(cpus))))
-        monkeypatch.setattr(attacks, "_shard_count", lambda trials: 3)
+        monkeypatch.setattr(shards, "_shard_count", lambda work, min_work: 3)
 
         def play(first, stop):
             if fails:
@@ -542,19 +539,19 @@ class TestSharding:
 
         if fails:
             with pytest.raises(ValueError, match="parent shard"):
-                attacks._run_shards(30, play)
+                shards._run_shards(30, play, 1)
         else:
-            assert attacks._run_shards(30, play) == [0, 10, 20]
+            assert shards._run_shards(30, play, 1) == [0, 10, 20]
         # two children on the CPUs after the parent's, in turn; the
         # parent on the first CPU, then on its whole set again
         assert [cpus for _, cpus in placed] == [{5}, {3}, {3}, {3, 5}]
         assert [pid != 0 for pid, _ in placed] == [True, True, False, False]
-        _no_child_left()
+        no_child_left()
 
     def _failing(self, monkeypatch, fail):
         """``_run_trials`` over 300 trials in three shards of 100, whose
         protocol raises ``fail(trial)`` when that is not None."""
-        monkeypatch.setattr(attacks, "_shard_count", lambda trials: 3)
+        monkeypatch.setattr(shards, "_shard_count", lambda work, min_work: 3)
         sc = baseline_scenario(trials=300)
         trial_of = {}
         reseed = _BaseCache.reseed
@@ -578,23 +575,23 @@ class TestSharding:
             monkeypatch, lambda t: ValueError(f"trial {t}") if t >= 100 else None)
         with pytest.raises(ValueError, match=r"^trial 100$"):
             run()
-        _no_child_left()
+        no_child_left()
 
     def test_earliest_failing_shard_wins(self, monkeypatch):
         run = self._failing(monkeypatch, lambda t: (
             KeyError(t) if t >= 200 else ValueError(f"trial {t}") if t >= 150 else None))
         with pytest.raises(ValueError, match=r"^trial 150$"):
             run()
-        _no_child_left()
+        no_child_left()
 
     def test_child_without_result(self, monkeypatch):
         class Local(Exception):  # a local class does not pickle
             pass
 
         run = self._failing(monkeypatch, lambda t: Local() if t >= 100 else None)
-        with pytest.raises(RuntimeError, match="a trial shard ended .* no result"):
+        with pytest.raises(RuntimeError, match="a shard ended .* no result"):
             run()
-        _no_child_left()
+        no_child_left()
 
     @pytest.mark.parametrize("exc", [ValueError, KeyboardInterrupt])
     def test_parent_error_kills_children(self, monkeypatch, exc):
@@ -612,13 +609,13 @@ class TestSharding:
         with pytest.raises(exc, match="parent shard"):
             run()
         assert time.monotonic() - start < 30
-        _no_child_left()
+        no_child_left()
 
     def test_children_leave_without_flushing(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(attacks, "_shard_count", lambda trials: 3)
+        monkeypatch.setattr(shards, "_shard_count", lambda work, min_work: 3)
         path = tmp_path / "buffered"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("written once")  # still in the buffer when the children fork
             run_scenario(baseline_scenario(trials=30))
         assert path.read_text() == "written once"
-        _no_child_left()
+        no_child_left()

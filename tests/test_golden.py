@@ -27,6 +27,8 @@ CASES = {
     "verify_gf8.json": "verify --n 3",
     "verify_gf16_a3_b5_c7.json": "verify --n 4 --a 3 --b 5 --c 7",
     "verify_gf5.json": "verify --p 5 --n 1",
+    # GF(61): enough domains that the verifier shards them
+    "verify_gf61.json": "verify --p 61 --n 1",
     "cost_n3.json": "cost --n 3",
     "cost_n3.csv": "cost --n 3 --format csv",
     "simulate_galois.json": f"simulate {TRACE} --kind galois --n 3 --seed 7",

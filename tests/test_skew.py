@@ -1,6 +1,8 @@
 """Skewing map behaviour, closed-form solver, and the exhaustive verifiers."""
 
+import os
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,11 +16,11 @@ from skewcache import (
     verify_diagonalization,
     verify_way_bijection,
 )
-from skewcache import skew
+from skewcache import shards, skew
 from skewcache.field import MAX_CELLS
 from skewcache.skew import _verify_diagonalization_direct, layout_table
 
-from support import BrokenModularRing, brute_force_witnesses, small_fields
+from support import BrokenModularRing, brute_force_witnesses, no_child_left, small_fields
 
 GF4 = FieldSpec.binary(2)
 SP4 = SkewParams(GF4)  # a=1, b=1, c=0
@@ -203,50 +205,78 @@ def _random_params(f, rng):
                       c=rng.randrange(m))
 
 
+def _off_by_one_solver(monkeypatch, sp):
+    """Break the solver at domain difference 1 and set difference 3."""
+    f = sp.field
+    solve = skew.solve_intersection_way
+
+    def off_by_one(sp_, t, t2, s, s2):
+        w = solve(sp_, t, t2, s, s2)
+        # the verifiers ask for (s, s2) = (0, d); break d = 3 at delta 1
+        if f.sub(t, t2) == 1 and f.sub(s2, s) == 3:
+            return (w + 1) % f.order
+        return w
+
+    monkeypatch.setattr(skew, "solve_intersection_way", off_by_one)
+
+
+def _sharded(monkeypatch, sp, counts=(1, 2, 3)):
+    """verify_diagonalization(sp) with the shard count forced to each of
+    ``counts``."""
+    reports = []
+    for count in counts:
+        monkeypatch.setattr(shards, "_shard_count", lambda work, min_work, c=count: c)
+        reports.append(verify_diagonalization(sp))
+    return reports
+
+
 class TestFastVerifierMatchesDirect:
-    """The m^4 verifier against the m^5 direct comparison it replaces."""
+    """The m^4 verifier, its domains in 1, 2 and 3 shards, against the
+    m^5 direct comparison it replaces."""
 
     @pytest.mark.parametrize("f", small_fields(16))
-    def test_clean_fields(self, f):
+    def test_clean_fields(self, monkeypatch, f):
         rng = random.Random(f.order)
         for sp in [SkewParams(f)] + [_random_params(f, rng) for _ in range(4)]:
-            fast = verify_diagonalization(sp)
-            assert fast.to_dict() == _verify_diagonalization_direct(sp).to_dict()
-            assert fast.checked == f.order ** 3 * (f.order - 1)
+            direct = _verify_diagonalization_direct(sp).to_dict()
+            for fast in _sharded(monkeypatch, sp):
+                assert fast.to_dict() == direct
+                assert fast.checked == f.order ** 3 * (f.order - 1)
+        no_child_left()
 
     @pytest.mark.parametrize("n,a,bijective,expected", [
         (2, 1, True, 64), (2, 2, False, 64),
         (4, 1, True, 28_672), (4, 2, False, 28_672),
     ])
-    def test_broken_ring(self, n, a, bijective, expected):
+    def test_broken_ring(self, monkeypatch, n, a, bijective, expected):
         # a=1 keeps every way bijective, so failing pairs are re-run one
-        # by one; a=2 breaks bijection and the whole table is compared
+        # by one; a=2 breaks bijection and the whole table is compared,
+        # serially
         sp = SkewParams(BrokenModularRing(p=2, n=n, modulus=FieldSpec.binary(n).modulus),
                         a=a)
         assert verify_way_bijection(sp).ok is bijective
-        fast = verify_diagonalization(sp)
-        assert len(fast.violations) == expected
-        assert fast.to_dict() == _verify_diagonalization_direct(sp).to_dict()
+        direct = _verify_diagonalization_direct(sp).to_dict()
+        if not bijective:
+            monkeypatch.setattr(os, "fork", lambda: pytest.fail("the direct comparison forked"))
+        for fast in _sharded(monkeypatch, sp):
+            assert len(fast.violations) == expected
+            assert fast.to_dict() == direct
+        # every domain, so every shard, has violations, joined in t order
+        ts = [v["t"] for v in fast.violations]
+        assert ts == sorted(ts) and set(ts) == set(range(2 ** n))
+        no_child_left()
 
     def test_wrong_solver_reported_alike(self, monkeypatch):
         sp = SkewParams(FieldSpec.binary(3), a=3, b=5, c=6)
-        f = sp.field
-        solve = skew.solve_intersection_way
-
-        def off_by_one(sp_, t, t2, s, s2):
-            w = solve(sp_, t, t2, s, s2)
-            # the verifiers ask for (s, s2) = (0, d); break d = 3 at delta 1
-            if f.sub(t, t2) == 1 and f.sub(s2, s) == 3:
-                return (w + 1) % f.order
-            return w
-
-        monkeypatch.setattr(skew, "solve_intersection_way", off_by_one)
-        fast = verify_diagonalization(sp)
-        assert fast.to_dict() == _verify_diagonalization_direct(sp).to_dict()
+        _off_by_one_solver(monkeypatch, sp)
+        direct = _verify_diagonalization_direct(sp).to_dict()
+        for fast in _sharded(monkeypatch, sp):
+            assert fast.to_dict() == direct
         # 8 ordered pairs with t - t2 = 1, 8 (s, s2) pairs with s2 - s = 3 each
         assert len(fast.violations) == 64
         assert {v["kind"] for v in fast.violations} == {"witness-mismatch"}
         assert all(v["solved"] == (v["enumerated"] + 1) % 8 for v in fast.violations)
+        no_child_left()
 
 
 _TABLE_FIELDS = [FieldSpec.binary(n) for n in range(2, 6)] + [
@@ -264,3 +294,66 @@ def test_layout_table_matches_permute(sp):
         for s in range(m):
             for w in range(m):
                 assert table[t, s, w] == permute(sp, t, s, w)
+
+
+class TestShardedVerifier:
+    """Failures in the domain shards of verify_diagonalization, and the
+    field calls they leave to the parent."""
+
+    def _failing(self, monkeypatch, fail):
+        """The wrong-solver GF(8) check in three shards of domains 0-1,
+        2-4 and 5-7, each domain with one failing pair, whose re-run
+        raises ``fail(t)`` when that is not None."""
+        sp = SkewParams(FieldSpec.binary(3), a=3, b=5, c=6)
+        _off_by_one_solver(monkeypatch, sp)
+        monkeypatch.setattr(shards, "_shard_count", lambda work, min_work: 3)
+        pair_violations = skew._pair_violations
+
+        def spy(table, t, *args):
+            exc = fail(t)
+            if exc is not None:
+                raise exc
+            return pair_violations(table, t, *args)
+
+        monkeypatch.setattr(skew, "_pair_violations", spy)
+        return lambda: verify_diagonalization(sp)
+
+    def test_child_error_raised_in_parent(self, monkeypatch):
+        run = self._failing(monkeypatch, lambda t: ValueError(f"t {t}") if t >= 2 else None)
+        with pytest.raises(ValueError, match=r"^t 2$"):
+            run()
+        no_child_left()
+
+    def test_earliest_failing_shard_wins(self, monkeypatch):
+        run = self._failing(monkeypatch, lambda t: (
+            KeyError(t) if t >= 5 else ValueError(f"t {t}") if t >= 3 else None))
+        with pytest.raises(ValueError, match=r"^t 3$"):
+            run()
+        no_child_left()
+
+    def test_children_make_no_field_call(self, monkeypatch):
+        """The shards read tables built before the fork, so the field
+        calls counted in this process are the whole run's: a run in two
+        shards counts as many as a run in one."""
+        sp = SkewParams(FieldSpec.binary(4), a=7, b=5, c=9)
+        _off_by_one_solver(monkeypatch, sp)  # so the shards re-run pairs too
+        calls = Counter()
+        for name in ("check", "mul", "inv"):
+            method = getattr(FieldSpec, name)
+
+            def counted(*args, name=name, method=method):
+                calls[name] += 1
+                return method(*args)
+
+            monkeypatch.setattr(FieldSpec, name, counted)
+        verify_diagonalization(sp)  # the field memoizes its inverses on first use
+        seen = []
+        for count in (1, 2, 3):
+            layout_table.cache_clear()
+            calls.clear()
+            report, = _sharded(monkeypatch, sp, (count,))
+            assert report.violations
+            seen.append(dict(calls))
+        assert seen[0]["check"] and seen[0]["mul"] and seen[0]["inv"]
+        assert seen[1] == seen[0] and seen[2] == seen[0]
+        no_child_left()
