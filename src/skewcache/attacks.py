@@ -21,10 +21,12 @@ that snapshot after its flush instead of replaying the steps (LRU
 stamps are rebased onto the trial cache's clock).  A prefix that draws
 is replayed in every trial.
 
-Collusion plays its squeeze and its probe as groups of one domain's
-lines (``fill_domain_set``, ``probe_group``), which the cache runs
-through its row-local kernel: each row is scanned once, and then every
-miss is one cell write and at most one draw.
+The probes and collusion's squeeze are groups of one domain's lines,
+which the cache runs through its row-local kernel: each row is scanned
+once, and then every miss is one cell write and at most one draw.
+Collusion squeezes with ``fill_domain_set`` and probes with
+``probe_group``; galois-pp probes its primed set with ``probe_group``
+in its stop-at-first-miss mode.
 
 Each kind supplies only its protocol steps:
 
@@ -345,7 +347,8 @@ def run_galois_prime_probe(sc: AttackScenario) -> DetectionReport:
     adv = sc.adversary_domains[0]
     vic = sc.victim_domain
     primed_set = sc.adversary_prime_set if sc.adversary_prime_set is not None else 0
-    prime_addrs = [compose_address(cfg, primed_set, tag) for tag in range(m)]
+    # a tuple, so the cache's group memo keys on it without a copy
+    prime_addrs = tuple(compose_address(cfg, primed_set, tag) for tag in range(m))
     warm_addrs = [
         compose_address(cfg, sc.victim_target_set, _WARM_TAG_BASE + i)
         for i in range(m - 1)
@@ -362,13 +365,11 @@ def run_galois_prime_probe(sc: AttackScenario) -> DetectionReport:
     def trial(cache, active):
         if active:
             cache.access(vic, target_addr)
-        missed_way = -1
-        for w, a in enumerate(prime_addrs):
-            if not cache.probe_one(adv, a):
-                missed_way = w
-                way_miss_counts[w] += 1
-                break
-        detected = missed_way >= 0
+        hits = cache.probe_group(adv, prime_addrs, stop_at_miss=True)
+        detected = not hits[-1]
+        missed_way = len(hits) - 1 if detected else -1
+        if detected:
+            way_miss_counts[missed_way] += 1
         return detected, detected, {"missed_way": missed_way}
 
     return _run_trials(

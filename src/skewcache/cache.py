@@ -33,10 +33,12 @@ line but leaves the random stream position untouched, so replays that
 span flushes stay reproducible.
 
 Two exact shortcuts serve the attack trials.  ``fill_group`` (the
-squeeze) and ``probe_group`` (a probe in order) play a group of one
-domain's lines through a row-local kernel: each row of the group is
-scanned once on entry, after which a hit is a lookup and a miss is one
-cell write and at most one draw.  The kernel needs random replacement,
+squeeze) and ``probe_group`` (a probe in order, or, with
+``stop_at_miss``, up to and including its first miss) play a group of
+one domain's lines through a row-local kernel: each row of the group is
+scanned once on entry, the lines before the first missing one count as
+hits at once, and after that a hit is a lookup and a miss is one cell
+write and at most one draw.  The kernel needs random replacement,
 distinct lines and a domain whose rows share no cell (a per-way
 bijection, checked once per domain); any other group takes the
 probe-by-probe loop.  ``snapshot`` and ``restore`` put back the state
@@ -332,16 +334,27 @@ class _BaseCache:
         return [ProbeObservation(a, hit)
                 for a, hit in zip(addrs, self.probe_group(domain, addrs))]
 
-    def probe_group(self, domain: int, addrs) -> list[bool]:
+    def probe_group(self, domain: int, addrs, stop_at_miss: bool = False) -> list[bool]:
         """Access the addresses in order; returns whether each one hit.
-        Equal to a ``probe_one`` of each address in turn."""
+        Equal to a ``probe_one`` of each address in turn.
+
+        With ``stop_at_miss``, the probe ends at the first miss, which is
+        played (its refill and any eviction included): the flags are
+        those of the lines accessed, and the last is False unless every
+        line hit.  Equal to a ``probe_one`` loop that breaks at its
+        first miss."""
         group = self._group(domain, addrs)
         if not group.lines:
             raise ValueError("probe needs at least one address")
         if group.kernel:
-            return self._play_group(domain, group)
+            return self._play_group(domain, group, stop_at_miss=stop_at_miss)
         access = self._access_line
-        return [access(domain, row, tag)[0] for row, tag in group.lines]
+        hits = []
+        for row, tag in group.lines:
+            hits.append(access(domain, row, tag)[0])
+            if stop_at_miss and not hits[-1]:
+                break
+        return hits
 
     def _access_line(self, domain: int, row: int, tag: int):
         """Core lookup: returns (hit, flat cell index, way, evicted line)."""
@@ -522,19 +535,21 @@ class _BaseCache:
             slots.append(slot_of[row])
         return _Group(lines, True, tuple(keys), tuple(cands), tuple(slots), tuple(rows))
 
-    def _play_group(self, domain: int, group: _Group, max_rounds: Optional[int] = None):
+    def _play_group(self, domain: int, group: _Group, max_rounds: Optional[int] = None,
+                    stop_at_miss: bool = False):
         """The row-local kernel: with ``max_rounds`` None, probe the
-        group once in order and return the hit flags; otherwise play
+        group once in order and return the hit flags, up to and
+        including the first miss if ``stop_at_miss``; otherwise play
         ``fill_group`` and return its pass count.
 
         Each row is scanned once on entry for its free cells, in way
         order, and the cells holding group lines.  Rows of the domain
         share no cell, so only this group's misses change them: a hit
         is a bit test, a miss takes the row's first free cell or evicts
-        a drawn one, and a group line evicted is marked gone.  A fill
-        pass hits up to its lowest gone line, which it then refills.
-        Cells, stats and the random stream end as the probe-by-probe
-        loop leaves them.
+        a drawn one, and a group line evicted is marked gone.  The first
+        pass and every fill pass hit up to their lowest gone line at
+        once, and then refill it.  Cells, stats and the random stream
+        end as the probe-by-probe loop leaves them.
         """
         cells = self._cells
         stats = self._stats.get(domain)
@@ -556,8 +571,14 @@ class _BaseCache:
                     gone ^= 1 << j
             frees.append(free)
         draw, ways = self.rng.getrandbits, self._ways
-        hits = []
-        i = passes = 0
+        # nothing changes before the first miss: the lines below the
+        # lowest gone one hit
+        i = (gone & -gone).bit_length() - 1 if gone else n
+        stats[0] += i
+        hits = [True] * i
+        if stop_at_miss and gone:
+            n = i + 1  # the probe ends with its first miss
+        passes = 0
         # stats slots _HITS.._SELF_EVICTIONS as literals 0..3, as in _access_line
         while True:
             if i < n:  # the pass that accesses every line once

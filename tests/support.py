@@ -6,15 +6,20 @@ division, inverses and intersection witnesses come from exhaustive
 search, so the implementations under test are checked against routes
 they do not share code with.  The cache helpers read simulator state
 that the observation interface hides, and the probe-by-probe group
-fill is the reference for the cache's ``fill_group`` kernel.
+fill and probe are the references for the cache's ``fill_group`` and
+``probe_group`` kernels.
 """
 
+import dataclasses
 import os
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from skewcache import FieldSpec, permute
+from skewcache import FieldSpec, attacks, permute
+from skewcache.cache import build_cache
 
 # x^8 + x^4 + x^3 + x + 1, used where tests need a GF(2^8) modulus
 MODULUS_256 = 0x11B
@@ -154,6 +159,56 @@ def fill_group_oracle(cache, domain: int, addrs, max_rounds: int = 4096) -> int:
         if all(probe(domain, a) for a in addrs):
             return round_no
     raise RuntimeError(f"set not resident after {max_rounds} probe passes")
+
+
+def probe_until_miss_oracle(cache, domain: int, addrs) -> list[bool]:
+    """Probe-by-probe reference for ``probe_group(..., stop_at_miss=True)``:
+    ``probe_one`` each address in order, stopping after the first miss;
+    returns the hit flags of the addresses probed."""
+    hits = []
+    for a in addrs:
+        hits.append(cache.probe_one(domain, a))
+        if not hits[-1]:
+            break
+    return hits
+
+
+class ScriptedRandom(random.Random):
+    """A seeded random source whose first ``getrandbits`` calls return
+    the scripted values, in order; later calls read the seeded stream."""
+
+    def __init__(self, script, seed=0):
+        super().__init__(seed)
+        self.script = list(script)
+
+    def getrandbits(self, k):
+        if self.script:
+            return self.script.pop(0)
+        return super().getrandbits(k)
+
+
+def galois_pp_forced_trial(sc, way: int):
+    """Trial 0 of ``sc``, a galois-pp scenario, played by the real runner
+    with the trial's first eviction draw forced to ``way``.
+
+    The prime and the warm-up find free cells and draw nothing, so the
+    first draw of an active trial is the victim's target access, whose
+    row is full; the probe that follows reads the seeded stream.
+    Returns the trial row and whether the forced draw was read.
+    """
+    trial_caches = []
+
+    def forced_cache(cfg, seed=0):
+        cache = build_cache(cfg, seed)
+        cache.rng = ScriptedRandom([way], seed)
+        trial_caches.append(cache)
+        return cache
+
+    with mock.patch.object(attacks, "build_cache", forced_cache):
+        report = attacks.run_galois_prime_probe(
+            dataclasses.replace(sc, trials=1, record_trials=True))
+    # the runner builds the trial cache first, then the prefix's scratch cache
+    return report.trial_rows[0], not trial_caches[0].rng.script
 
 
 def no_child_left():

@@ -35,7 +35,7 @@ from skewcache import attacks, shards, skew
 from skewcache.attacks import _run_trials
 from skewcache.cache import _BaseCache
 
-from support import domain_lines_in_set, line_at, no_child_left
+from support import domain_lines_in_set, galois_pp_forced_trial, line_at, no_child_left
 
 GF4 = FieldSpec.binary(2)
 SP4 = SkewParams(GF4)
@@ -182,6 +182,38 @@ class TestGaloisPrimeProbe:
         b = run_galois_prime_probe(sc).to_dict()
         assert a == b
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+class TestGaloisPrimeProbeExact:
+    """Every trial reaches the victim's access in the state the draw-free
+    prime and warm-up leave, whatever its seed, and that access is the
+    trial's one eviction draw that can touch the primed set.  Forcing
+    the draw to each way in turn therefore enumerates the outcomes."""
+
+    @pytest.mark.parametrize("field", [FieldSpec.binary(2), FieldSpec.binary(3),
+                                       FieldSpec.binary(4), FieldSpec.prime(5)],
+                             ids=["gf4", "gf8", "gf16", "gf5"])
+    def test_only_the_intersection_way_detects(self, field):
+        sp = SkewParams(field)
+        m = field.order
+        base = default_scenario("galois_pp", galois_config(sp), trials=1)
+        adv, vic = base.adversary_domains[0], base.victim_domain
+        for target in range(m):
+            sc = dataclasses.replace(base, victim_target_set=target)
+            idle = dataclasses.replace(sc, victim_access_probability=0.0)
+            detecting = []
+            for w in range(m):
+                row, drew = galois_pp_forced_trial(sc, w)
+                assert drew
+                if row["detected"]:
+                    detecting.append(w)
+                    assert row["missed_way"] == w
+                else:
+                    assert row["missed_way"] == -1
+                row, drew = galois_pp_forced_trial(idle, w)
+                assert not drew
+                assert (row["detected"], row["missed_way"]) == (False, -1)
+            assert detecting == [solve_intersection_way(sp, adv, vic, 0, target)]
 
 
 class TestFillDomainSet:

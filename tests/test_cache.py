@@ -24,7 +24,13 @@ from skewcache.cache import KINDS
 from skewcache.field import MAX_CELLS
 from skewcache.skew import verify_way_bijection
 
-from support import BrokenModularRing, fill_group_oracle, line_at, small_fields
+from support import (
+    BrokenModularRing,
+    fill_group_oracle,
+    line_at,
+    probe_until_miss_oracle,
+    small_fields,
+)
 
 GF4 = FieldSpec.binary(2)
 SP4 = SkewParams(GF4)
@@ -461,6 +467,15 @@ EVICTED_BEFORE_ITS_TURN = (GF4_CFG, 0, True, [],
 # (0, 5) of another row of the group; it is not resident.
 SAME_TAG_OTHER_ROW = (GF4_CFG, 0, False, [], [(2, [(0, 5), (1, 5)], [(0, 5)])])
 
+# Probes that stop at the first miss, on GF(4) (domain 0 probes row 1):
+# its first line misses, and the cache is full, so the refill draws
+FIRST_LINE_MISSES = (GF4_CFG, 0, True, [], [(0, [(1, 0), (1, 1), (1, 2)], [(1, 1)])])
+# only its last line misses, into a free cell
+ONLY_LAST_LINE_MISSES = (GF4_CFG, 0, False, [],
+                         [(0, [(1, 0), (1, 1), (1, 2)], [(1, 0), (1, 1)])])
+# every line hits
+EVERY_LINE_HITS = (GF4_CFG, 0, False, [], [(0, [(1, 0), (1, 1), (1, 2)], [(1, 0), (1, 1), (1, 2)])])
+
 
 class TestFillGroup:
     @ORACLE_SETTINGS
@@ -531,6 +546,45 @@ class TestProbeGroup:
                 continue
             assert kernel.probe_group(d, addrs) == [oracle.probe_one(d, a) for a in addrs]
             assert _cache_state(kernel) == _cache_state(oracle)
+
+    @ORACLE_SETTINGS
+    @given(case=group_cases())
+    @example(case=FIRST_LINE_MISSES)
+    @example(case=ONLY_LAST_LINE_MISSES)
+    @example(case=EVERY_LINE_HITS)
+    @example(case=EVICTED_BEFORE_ITS_TURN)
+    def test_stop_at_miss_matches_probe_one_oracle(self, case):
+        cfg = case[0]
+        kernel, oracle = _start_pair(case)
+        for d, lines, warm in case[4]:
+            for cache in (kernel, oracle):
+                for r, t in warm:
+                    cache.access(d, _addr(cfg, r, t))
+            addrs = [_addr(cfg, r, t) for r, t in lines]
+            if not addrs:
+                with pytest.raises(ValueError):
+                    kernel.probe_group(d, addrs, stop_at_miss=True)
+                continue
+            hits = kernel.probe_group(d, addrs, stop_at_miss=True)
+            assert hits == probe_until_miss_oracle(oracle, d, addrs)
+            assert _cache_state(kernel) == _cache_state(oracle)
+
+    @pytest.mark.parametrize("case,flags", [
+        (FIRST_LINE_MISSES, [False]),
+        (ONLY_LAST_LINE_MISSES, [True, True, False]),
+        (EVERY_LINE_HITS, [True, True, True]),
+    ], ids=["first", "last", "none"])
+    def test_stop_at_miss_examples_miss_where_named(self, case, flags):
+        cache = _start_pair(case)[0]
+        (d, lines, warm), = case[4]
+        for r, t in warm:
+            cache.access(d, _addr(case[0], r, t))
+        draws = cache.rng.getstate()
+        addrs = [_addr(case[0], r, t) for r, t in lines]
+        assert cache._group(d, addrs).kernel
+        assert cache.probe_group(d, addrs, stop_at_miss=True) == flags
+        # only the full cache's refill draws
+        assert (cache.rng.getstate() != draws) == case[2]
 
     def test_observe_probe_reports_the_group_probe(self):
         cache = gf4_cache()

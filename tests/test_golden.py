@@ -51,12 +51,17 @@ CASES = {
     # GF(5): five ways, so the eviction draw is a real % 5
     "attack_collusion_gf5.json": f"attack collusion --p 5 --n 1 --trials 1000 {ATTACK}",
     "attack_collusion_n4.json": f"attack collusion --n 4 --trials 600 {ATTACK}",
+    # galois-pp on GF(5): the victim's eviction draw is a real % 5
+    "attack_galois_pp_gf5.json": f"attack galois-pp --p 5 --n 1 --trials 2000 {ATTACK}",
+    # GF(64): most probes hit deep into the primed set before any miss
+    "attack_galois_pp_n6.json": f"attack galois-pp --n 6 --trials 1000 {ATTACK}",
 }
 # golden report file: golden trial log written by the same run
 TRIAL_LOGS = {
     "attack_galois_pp_n3_log.csv": "attack_galois_pp_n3_trials.csv",
     "attack_collusion_n3_log.csv": "attack_collusion_n3_trials.csv",
     "attack_collusion_gf5.json": "attack_collusion_gf5_trials.csv",
+    "attack_galois_pp_gf5.json": "attack_galois_pp_gf5_trials.csv",
 }
 
 
