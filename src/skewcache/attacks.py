@@ -4,8 +4,11 @@ One trial driver, ``_run_trials``, runs every experiment.  It holds the
 skeleton the three kinds share: build the cache; then per trial reseed
 it with base seed + trial index, draw the victim's activity coin
 (``victim_access_probability``, so false positives are measurable),
-flush, play the kind's protocol, tally the outcome into exactly one of
-tp/fp/fn/tn, and keep the optional trial row; finally build the report.
+restore the state the kind's prefix leaves on an empty cache, play the
+kind's protocol, tally the outcome into exactly one of tp/fp/fn/tn and
+count the value it returns (galois-pp's missed way, collusion's
+inferred set), and keep the optional trial row; finally build the
+report.
 
 The driver plays the trials in contiguous shards, in forked children
 on the process's CPUs, at least ``MIN_SHARD_TRIALS`` trials a shard;
@@ -13,13 +16,12 @@ the ``shards`` module describes the runner and why the merge is exact.
 
 A kind splits off its first steps as a ``prefix``: baseline prime-probe
 and galois-pp the prime (galois-pp with the victim's warm-up),
-collusion the prober's fill.  On a flushed cache these steps find free
-cells for every line, so they draw no random number and end in the
-same state in every trial.  The driver plays the prefix once on a
-scratch cache; if the random stream did not move, each trial restores
-that snapshot after its flush instead of replaying the steps (LRU
-stamps are rebased onto the trial cache's clock).  A prefix that draws
-is replayed in every trial.
+collusion the prober's fill.  On an empty cache these steps find free
+cells for every line (by per-way bijection and diagonalization on the
+skewed cache), so they draw no random number and end in the same state
+in every trial.  The driver plays the prefix once on a scratch cache,
+refusing it if the random stream moved, and every trial ``restore``s
+that snapshot, which flushes the cache, instead of replaying the steps.
 
 The probes and collusion's squeeze are groups of one domain's lines,
 which the cache runs through its row-local kernel: each row is scanned
@@ -112,6 +114,9 @@ class AttackScenario:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.trials < 0:
             raise ValueError("trials must be nonnegative")
+        # trial t reseeds with seed + t and Random(s) seeds from |s|
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} is negative")
         if not 0.0 <= self.victim_access_probability <= 1.0:
             raise ValueError("victim_access_probability must be in [0, 1]")
         domains = (self.victim_domain, *self.adversary_domains)
@@ -199,73 +204,72 @@ def _trial_active(rng: random.Random, probability: float) -> bool:
 
 
 def _prefix_snapshot(sc: AttackScenario, prefix):
-    """The state ``prefix`` leaves on a flushed cache, or None when every
-    trial must replay it because it draws a random number."""
-    if prefix is None:
-        return None
+    """The state ``prefix`` leaves on a new cache, for every trial to
+    restore; a prefix that draws a random number is refused."""
     scratch = build_cache(sc.cache, sc.seed)
     before = scratch.rng.getstate()
     prefix(scratch)
-    return scratch.snapshot() if scratch.rng.getstate() == before else None
+    if scratch.rng.getstate() != before:
+        raise RuntimeError("the trial prefix drew a random number")
+    return scratch.snapshot()
 
 
-def _run_trials(sc: AttackScenario, protocol, definition: str, prefix=None,
-                **extras) -> DetectionReport:
-    """Run the scenario's trials of one protocol and report the tally.
+def _run_trials(sc: AttackScenario, protocol, definition: str, prefix,
+                value_key: Optional[str] = None) -> tuple[DetectionReport, list[int]]:
+    """Run the scenario's trials of one protocol; returns the report and
+    the count of each value the protocol returned.
 
-    ``prefix(cache)``, if given, plays the trial's first steps on the
-    freshly flushed cache, from a snapshot when it can (module
-    docstring).  ``protocol(cache, active)`` then plays the rest and
-    returns ``(detected, correct, row_fields)``: ``correct`` says the
-    inference names the victim's set (it equals ``detected`` for the
-    prime-probe kinds), and ``row_fields`` extend the trial row.  Each
-    trial adds to exactly one confusion cell.  Each ``extras`` value is
-    a list of counts, or of lists of counts, that the protocol adds to;
-    the shards' counts are summed into it.
+    ``prefix(cache)`` plays the trial's first steps once, on a scratch
+    cache; every trial restores the state it left (module docstring).
+    ``protocol(cache, active)`` then plays the rest and returns
+    ``(detected, correct, value)``: ``correct`` says the inference names
+    the victim's set (it equals ``detected`` for the prime-probe kinds),
+    and ``value`` is an index below the cache's set count, or -1 when
+    nothing fired.  Each trial adds to exactly one confusion cell and,
+    unless -1, to its value's count; the trial row keeps the value under
+    ``value_key``, if given.
     """
     cache = build_cache(sc.cache, sc.seed)
     snapshot = _prefix_snapshot(sc, prefix)
 
     def play(first: int, stop: int):
-        tp = fp = fn = tn = 0
+        # tp, fp, fn, tn, then the count of each value
+        counts = [0] * (4 + sc.cache.num_sets)
         rows = [] if sc.record_trials else None
         for trial in range(first, stop):
             cache.reseed(sc.seed + trial)
             active = _trial_active(cache.rng, sc.victim_access_probability)
-            cache.flush()
-            if snapshot is not None:
-                cache.restore(snapshot)
-            elif prefix is not None:
-                prefix(cache)
-            detected, correct, row_fields = protocol(cache, active)
+            cache.restore(snapshot)
+            detected, correct, value = protocol(cache, active)
             if active and correct:
-                tp += 1
+                counts[0] += 1
             elif detected:
-                fp += 1
+                counts[1] += 1
             elif active:
-                fn += 1
+                counts[2] += 1
             else:
-                tn += 1
+                counts[3] += 1
+            if value >= 0:
+                counts[4 + value] += 1
             if rows is not None:
-                rows.append({"trial": trial, "active": active, "detected": detected,
-                             **row_fields})
-        return [tp, fp, fn, tn], rows, cache.stats(), extras
+                row = {"trial": trial, "active": active, "detected": detected}
+                if value_key is not None:
+                    row[value_key] = value
+                rows.append(row)
+        return counts, rows, cache.stats()
 
-    (counts, rows, stats, _), *others = _run_shards(sc.trials, play, MIN_SHARD_TRIALS)
-    # this process's shard counted into ``extras`` itself; add the others
-    for part_counts, part_rows, part_stats, part_extras in others:
-        _add_counts(counts, part_counts)
+    (counts, rows, stats), *others = _run_shards(sc.trials, play, MIN_SHARD_TRIALS)
+    for part_counts, part_rows, part_stats in others:
+        counts = [a + b for a, b in zip(counts, part_counts)]
         if rows is not None:
             rows.extend(part_rows)
         for d, row in part_stats.items():
             total = stats.setdefault(d, dict.fromkeys(row, 0))
             for key, value in row.items():
                 total[key] += value
-        for name, value in part_extras.items():
-            _add_counts(extras[name], value)
-    tp, fp, fn, tn = counts
+    tp, fp, fn, tn, *values = counts
     lo, hi = wilson_interval(tp + fp, sc.trials)
-    return DetectionReport(
+    report = DetectionReport(
         kind=sc.kind,
         trials=sc.trials,
         true_positives=tp,
@@ -278,17 +282,8 @@ def _run_trials(sc: AttackScenario, protocol, definition: str, prefix=None,
         detection_definition=definition,
         domain_stats=dict(sorted(stats.items())),
         trial_rows=rows,
-        **extras,
     )
-
-
-def _add_counts(total: list, part: list) -> None:
-    """Add ``part`` into ``total`` elementwise, into nested lists too."""
-    for i, value in enumerate(part):
-        if isinstance(value, list):
-            _add_counts(total[i], value)
-        else:
-            total[i] += value
+    return report, values
 
 
 def fill_domain_set(cache, domain: int, addrs, max_rounds: int = 4096) -> int:
@@ -327,10 +322,11 @@ def run_baseline_prime_probe(sc: AttackScenario) -> DetectionReport:
         if active:
             cache.access(sc.victim_domain, victim_addr)
         detected = any(not ob.hit for ob in cache.observe_probe(adv, prime_addrs))
-        return detected, detected, {}
+        return detected, detected, -1
 
-    return _run_trials(sc, trial, "at least one miss while re-accessing the primed set",
-                       prefix=prime)
+    report, _ = _run_trials(sc, trial, "at least one miss while re-accessing the primed set",
+                            prime)
+    return report
 
 
 def run_galois_prime_probe(sc: AttackScenario) -> DetectionReport:
@@ -354,7 +350,6 @@ def run_galois_prime_probe(sc: AttackScenario) -> DetectionReport:
         for i in range(m - 1)
     ]
     target_addr = compose_address(cfg, sc.victim_target_set, _TARGET_TAG)
-    way_miss_counts = [0] * m
 
     def prime_and_warm(cache):
         for a in prime_addrs:
@@ -367,18 +362,16 @@ def run_galois_prime_probe(sc: AttackScenario) -> DetectionReport:
             cache.access(vic, target_addr)
         hits = cache.probe_group(adv, prime_addrs, stop_at_miss=True)
         detected = not hits[-1]
-        missed_way = len(hits) - 1 if detected else -1
-        if detected:
-            way_miss_counts[missed_way] += 1
-        return detected, detected, {"missed_way": missed_way}
+        return detected, detected, len(hits) - 1 if detected else -1
 
-    return _run_trials(
+    report, missed = _run_trials(
         sc, trial,
         "at least one miss while re-accessing the primed set "
         "(probe stops at the first miss)",
-        prefix=prime_and_warm,
-        way_miss_counts=way_miss_counts,
+        prime_and_warm, "missed_way",
     )
+    report.way_miss_counts = missed
+    return report
 
 
 def run_collusion_attack(sc: AttackScenario) -> DetectionReport:
@@ -419,7 +412,6 @@ def run_collusion_attack(sc: AttackScenario) -> DetectionReport:
         set_through_cell(sp, vic, permute(sp, prober, s, survivor_way[s]), survivor_way[s])
         for s in range(m)
     ]
-    confusion = [[0] * m for _ in range(m)]
 
     def prime(cache):
         access = cache.access
@@ -436,18 +428,20 @@ def run_collusion_attack(sc: AttackScenario) -> DetectionReport:
         fired_set = next(
             (s for s in range(m) if not any(hits[s * m:(s + 1) * m])), -1)
         if fired_set < 0:
-            return False, False, {"inferred_set": -1}
+            return False, False, -1
         inferred = inferred_for[fired_set]
-        confusion[sc.victim_target_set][inferred] += 1
-        return True, inferred == sc.victim_target_set, {"inferred_set": inferred}
+        return True, inferred == sc.victim_target_set, inferred
 
-    return _run_trials(
+    report, inferred_counts = _run_trials(
         sc, trial,
         "some prober set misses in every way and its surviving cell maps to "
         "the true victim set",
-        prefix=prime,
-        per_set_confusion=confusion,
+        prime, "inferred_set",
     )
+    # the victim only ever targets its one set, so only that row fills
+    report.per_set_confusion = [
+        inferred_counts if s == sc.victim_target_set else [0] * m for s in range(m)]
+    return report
 
 
 _RUNNERS = {
@@ -494,9 +488,9 @@ def sweep_detection_vs_field(
     """One detection-rate row per GF(2^n) field; empty when trials == 0.
 
     An empty ``n_range`` is rejected, so a reversed range cannot pass
-    for a successful sweep, and every field of the range is built
-    before any trial runs, so a degree without a default modulus fails
-    at once.
+    for a successful sweep, and every field and scenario of the range is
+    built before any trial runs, so a degree without a default modulus
+    or a bad scenario value fails at once.
     """
     from .cache import galois_config
     from .field import FieldSpec
@@ -506,19 +500,22 @@ def sweep_detection_vs_field(
         raise ValueError(f"sweep supports galois_pp or collusion, got {kind!r}")
     if not n_range:
         raise ValueError(f"empty sweep range {n_range!r}: n_min exceeds n_max")
-    configs = [galois_config(SkewParams(FieldSpec.binary(n))) for n in n_range]
+    scenarios = [
+        default_scenario(kind, galois_config(SkewParams(FieldSpec.binary(n))), trials,
+                         seed, victim_access_probability)
+        for n in n_range
+    ]
     rows: list[dict] = []
     if trials == 0:
         return rows
-    for n, cfg in zip(n_range, configs):
-        sp = cfg.skew
-        sc = default_scenario(kind, cfg, trials, seed, victim_access_probability)
+    for n, sc in zip(n_range, scenarios):
+        order = sc.cache.skew.field.order
         report = run_scenario(sc)
         rows.append(
             {
                 "n": n,
-                "order": sp.field.order,
-                "theoretical_rate": victim_access_probability / sp.field.order,
+                "order": order,
+                "theoretical_rate": victim_access_probability / order,
                 "detection_rate": report.detection_rate,
                 "ci_low": report.ci_low,
                 "ci_high": report.ci_high,

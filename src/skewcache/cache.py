@@ -29,8 +29,10 @@ seeded generator (getrandbits(64) mod ways).
 
 State is mutable and single-owner; run concurrent experiments on
 separate instances with separate seeds.  ``flush`` invalidates every
-line but leaves the random stream position untouched, so replays that
-span flushes stay reproducible.
+line and restarts the LRU clock at 0, but leaves the stats and the
+random stream position untouched, so replays that span flushes stay
+reproducible.  LRU compares stamps only among valid cells, all stamped
+since the last flush, so the restart changes no choice.
 
 Two exact shortcuts serve the attack trials.  ``fill_group`` (the
 squeeze) and ``probe_group`` (a probe in order, or, with
@@ -41,10 +43,10 @@ hits at once, and after that a hit is a lookup and a miss is one cell
 write and at most one draw.  The kernel needs random replacement,
 distinct lines and a domain whose rows share no cell (a per-way
 bijection, checked once per domain); any other group takes the
-probe-by-probe loop.  ``snapshot`` and ``restore`` put back the state
-that steps drawing no random number leave on a flushed cache, without
-replaying them.  LRU stamps are kept relative to the clock at the last
-flush and rebased onto the restoring cache's clock.
+probe-by-probe loop.  ``restore`` flushes the cache and puts back the
+``snapshot`` of the state that steps drawing no random number leave on
+an empty cache, without replaying them; under LRU the snapshot holds
+the stamps and the clock as they are, since both count from the flush.
 
 One batch loop serves trace replay.  ``play`` accesses a stream of
 ``(domain, op, addr)`` records in order.  It looks up a domain's row
@@ -101,8 +103,7 @@ class CacheSnapshot(NamedTuple):
     #: per-domain stats rows, slots _HITS.._SELF_EVICTIONS
     stats: dict
     replacement: str
-    #: LRU only: (cell index, stamp) of each stamped cell, and the clock,
-    #: both counted from the clock at the last flush
+    #: LRU only: (cell index, stamp) of each stamped cell, and the clock
     stamps: tuple
     clock: int
 
@@ -255,7 +256,6 @@ class _BaseCache:
         # LRU stamps exist only under LRU replacement
         self._stamps = [0] * len(self._cells) if self._lru else None
         self._clock = 0
-        self._flush_clock = 0  # the clock at the last flush
         self._disjoint: dict[int, bool] = {}
         self._groups: dict[tuple, _Group] = {}
         self._readers: dict[int, list] = {}
@@ -615,51 +615,43 @@ class _BaseCache:
             owner[idx] = j
             gone ^= 1 << j
 
-    def flush(self, reset_stats: bool = False) -> None:
+    def flush(self) -> None:
+        """Invalidate every line and, under LRU, restart the clock."""
         size = len(self._cells)
         self._cells = [None] * size
         if self._lru:
             self._stamps = [0] * size
-            self._flush_clock = self._clock
-        if reset_stats:
-            self.reset_stats()
+            self._clock = 0
 
     def snapshot(self) -> CacheSnapshot:
-        """The occupied cells, the stats so far and the LRU stamps set
-        since the last flush, for ``restore``."""
-        base = self._flush_clock
+        """The occupied cells, the stats so far and the LRU stamps and
+        clock, for ``restore``."""
         stamps = () if not self._lru else tuple(
-            (idx, stamp - base) for idx, stamp in enumerate(self._stamps) if stamp)
+            (idx, stamp) for idx, stamp in enumerate(self._stamps) if stamp)
         lines = tuple((idx, cell) for idx, cell in enumerate(self._cells)
                       if cell is not None)
         return CacheSnapshot(lines, len(self._cells),
                              {d: tuple(row) for d, row in self._stats.items()},
-                             self.cfg.replacement, stamps, self._clock - base)
+                             self.cfg.replacement, stamps, self._clock)
 
     def restore(self, snap: CacheSnapshot) -> None:
-        """Into an empty cache (one flushed, or new, with no access
-        since), write the snapshot's occupied cells, add its stats to
-        this cache's, and under LRU set its stamps and clock advance
-        onto this cache's clock.  A snapshot taken after some steps on a
-        flushed, zero-stats cache thus stands in for replaying those
-        steps after a flush, provided they drew no random number.  A
-        cache holding any line is refused."""
-        cells = self._cells
-        if snap.size != len(cells):
+        """Flush the cache, write the snapshot's occupied cells, add its
+        stats to this cache's, and under LRU set its stamps and clock.
+        A snapshot taken after some steps on a new or flushed,
+        zero-stats cache thus stands in for a flush and a replay of
+        those steps, provided they drew no random number."""
+        if snap.size != len(self._cells):
             raise ValueError("snapshot is of a cache with another geometry")
         if snap.replacement != self.cfg.replacement:
             raise ValueError("snapshot is of a cache with another replacement policy")
-        if cells.count(None) != len(cells):
-            raise ValueError("restore needs an empty cache: flush it first")
+        self.flush()
+        cells = self._cells
         for idx, line in snap.lines:
             cells[idx] = line
         if self._lru:
-            # an empty cache's stamps are all zero
-            base = self._clock
-            stamps = self._stamps
             for idx, stamp in snap.stamps:
-                stamps[idx] = base + stamp
-            self._clock = base + snap.clock
+                self._stamps[idx] = stamp
+            self._clock = snap.clock
         for d, delta in snap.stats.items():
             row = self._stats.get(d)
             if row is None:

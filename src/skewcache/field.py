@@ -134,7 +134,7 @@ def poly_str(value: int) -> str:
 class FieldSpec:
     """A finite field GF(p) or GF(2^n) with its reducing modulus.
 
-    For n == 1 the modulus is unused and arithmetic is integers mod p.
+    For n == 1 the modulus must be 0 and arithmetic is integers mod p.
     For p == 2, n > 1 the modulus must have degree exactly n and be
     irreducible.  `order` is derived and cached.
     """
@@ -151,6 +151,10 @@ class FieldSpec:
             raise ValueError(f"characteristic {self.p} is not prime")
         if self.n < 1:
             raise ValueError(f"extension degree must be >= 1, got {self.n}")
+        if self.modulus < 0:
+            raise ValueError(f"modulus {self.modulus} is negative")
+        if self.n == 1 and self.modulus:
+            raise ValueError(f"GF({self.p}) takes no modulus, got {self.modulus}")
         if self.n > 1:
             if self.p != 2:
                 raise ValueError(

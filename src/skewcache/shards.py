@@ -14,10 +14,10 @@ Two callers share the runner:
 
 * the attack trial driver (``attacks._run_trials``) shards the trials,
   at least ``attacks.MIN_SHARD_TRIALS`` a shard.  It adds the shards'
-  confusion counts, domain stats and extra counts and joins their trial
-  rows in trial order: each trial reseeds itself, LRU stamps count from
-  the last flush, and the cache and the extra counts hold nothing yet
-  when the children fork.
+  counts (confusion cells and values) and domain stats and joins their
+  trial rows in trial order: each trial reseeds itself and restores its
+  prefix into a flushed cache, whose LRU clock restarts at 0, and the
+  cache holds nothing yet when the children fork.
 * the diagonalization verifier (``skew.verify_diagonalization``) shards
   its domains t, at least ``skew.MIN_SHARD_DOMAINS`` a shard.  The
   parent builds every table the check reads before it forks, so the

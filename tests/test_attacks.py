@@ -92,6 +92,22 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             baseline_scenario(cache=galois_config(SP4))
 
+    @pytest.mark.parametrize("kind", ["baseline_pp", "galois_pp", "collusion"])
+    def test_negative_seed_rejected(self, kind):
+        # random.Random(s) seeds from |s|, so trials seed - k and seed + k
+        # would replay one stream
+        cache = conventional_config(4, 4) if kind == "baseline_pp" else galois_config(SP4)
+        with pytest.raises(ValueError, match="seed -10 is negative"):
+            default_scenario(kind, cache, trials=20, seed=-10)
+
+    def test_sweep_builds_its_scenarios_first(self):
+        # a zero-trial sweep runs none, but its values are checked
+        with pytest.raises(ValueError, match="seed -1 is negative"):
+            sweep_detection_vs_field("galois_pp", range(2, 4), 0, seed=-1)
+        with pytest.raises(ValueError, match="victim_access_probability"):
+            sweep_detection_vs_field("collusion", range(2, 4), 0,
+                                     victim_access_probability=1.5)
+
     def test_runner_kind_mismatch(self):
         with pytest.raises(ValueError):
             run_collusion_attack(baseline_scenario())
@@ -316,10 +332,10 @@ class TestCollusion:
         def protocol(cache, active):
             assert active
             detected, correct = next(outcomes)
-            return detected, correct, {}
+            return detected, correct, -1
 
         sc = default_scenario("collusion", galois_config(SP4), trials=3)
-        r = _run_trials(sc, protocol, "scripted outcomes")
+        r, _ = _run_trials(sc, protocol, "scripted outcomes", _no_prefix)
         counts = (r.true_positives, r.false_positives, r.false_negatives,
                   r.true_negatives)
         assert counts == (1, 1, 1, 0)
@@ -327,23 +343,34 @@ class TestCollusion:
         assert r.detection_rate == 2 / 3
 
 
-def _folded(sc, protocol, definition, prefix=None, **extras):
-    """The trial driver with the prefix played inside the protocol, as
-    every trial did before the snapshot path."""
+def _no_prefix(cache):
+    pass
+
+
+def _folded(sc, protocol, definition, prefix, value_key=None):
+    """The trial driver with the prefix played inside the protocol, after
+    a no-op prefix, as every trial did before the snapshot path."""
     def whole(cache, active):
-        if prefix is not None:
-            prefix(cache)
+        prefix(cache)
         return protocol(cache, active)
 
-    return _run_trials(sc, whole, definition, **extras)
+    return _run_trials(sc, whole, definition, _no_prefix, value_key)
 
 
 def _outcome(report):
     return report.to_dict(), report.trial_rows
 
 
-def _refuse(*args):
-    raise AssertionError("the snapshot path was taken")
+def _restore_only_empty(patch):
+    """Let ``restore`` take only the snapshot of a new cache, which stands
+    in for a bare flush."""
+    restore = _BaseCache.restore
+
+    def checked(cache, snap):
+        assert snap.lines == snap.stamps == () and snap.stats == {} and snap.clock == 0
+        restore(cache, snap)
+
+    patch.setattr(_BaseCache, "restore", checked)
 
 
 def _assert_equals_folded(monkeypatch, sc):
@@ -358,7 +385,7 @@ def _assert_equals_folded(monkeypatch, sc):
     assert len(restores) == sc.trials
     with monkeypatch.context() as patch:
         patch.setattr(attacks, "_run_trials", _folded)
-        patch.setattr(_BaseCache, "restore", _refuse)
+        _restore_only_empty(patch)
         plain = run_scenario(sc)
     assert _outcome(fast) == _outcome(plain)
     return fast
@@ -401,7 +428,7 @@ class TestTrialPrefix:
             expected = report.true_positives + report.false_negatives if prime_set == 1 else 0
             assert report.true_positives + report.false_positives == expected
 
-    def test_drawing_prefix_replayed_every_trial(self, monkeypatch):
+    def test_drawing_prefix_refused(self):
         cfg = galois_config(SP4)
         # five lines in a four-way set: the fifth evicts, drawing a number
         lines = [compose_address(cfg, 1, t) for t in range(5)]
@@ -413,19 +440,12 @@ class TestTrialPrefix:
                 cache.access(1, a)
 
         def protocol(cache, active):
-            if active:
-                cache.access(2, compose_address(cfg, 1, 0x2FFFF))
-            hits = [cache.probe_one(1, a) for a in lines]
-            return not all(hits), not all(hits), {"hits": hits}
+            raise AssertionError("a trial ran")
 
-        sc = dataclasses.replace(
-            default_scenario("galois_pp", cfg, trials=200, seed=5,
-                             victim_access_probability=0.5),
-            record_trials=True)
-        monkeypatch.setattr(_BaseCache, "restore", _refuse)
-        got = _run_trials(sc, protocol, "scripted", prefix=prefix)
-        assert len(plays) == 1 + sc.trials  # the scratch run, then each trial
-        assert _outcome(got) == _outcome(_folded(sc, protocol, "scripted", prefix=prefix))
+        sc = default_scenario("galois_pp", cfg, trials=200, seed=5)
+        with pytest.raises(RuntimeError, match="prefix drew a random number"):
+            _run_trials(sc, protocol, "scripted", prefix)
+        assert len(plays) == 1  # the scratch run only
 
     def test_lru_prefix_restored(self, monkeypatch):
         sc = baseline_scenario(victim_access_probability=0.5, record_trials=True)
@@ -442,17 +462,17 @@ class TestTrialPrefix:
                 cache.access(2, victim)
             # the victim evicts the least recently used line, tag 0
             detected = not all(cache.probe_one(1, a) for a in prime)
-            return detected, detected, {}
+            return detected, detected, -1
 
         restores = []
         restore = _BaseCache.restore
         with monkeypatch.context() as patch:
             patch.setattr(_BaseCache, "restore",
                           lambda cache, snap: (restores.append(1), restore(cache, snap)))
-            got = _run_trials(sc, protocol, "scripted", prefix=prefix)
+            got, _ = _run_trials(sc, protocol, "scripted", prefix)
         assert len(restores) == sc.trials
-        monkeypatch.setattr(_BaseCache, "restore", _refuse)
-        assert _outcome(got) == _outcome(_folded(sc, protocol, "scripted", prefix=prefix))
+        _restore_only_empty(monkeypatch)
+        assert _outcome(got) == _outcome(_folded(sc, protocol, "scripted", prefix)[0])
         assert 0 < got.true_positives < sc.trials
 
 
@@ -598,9 +618,9 @@ class TestSharding:
             exc = fail(trial_of[cache])
             if exc is not None:
                 raise exc
-            return False, False, {}
+            return False, False, -1
 
-        return lambda: _run_trials(sc, protocol, "scripted")
+        return lambda: _run_trials(sc, protocol, "scripted", _no_prefix)
 
     def test_child_error_raised_in_parent(self, monkeypatch):
         run = self._failing(

@@ -1,6 +1,5 @@
 """Cache model behaviour: address split, lookup, replacement, isolation."""
 
-import copy
 import random
 from itertools import islice
 
@@ -269,7 +268,7 @@ class TestFlushAndDeterminism:
         cache.access(0, 0x40)
         cache.flush()
         assert cache.stats()[0]["misses"] == 1
-        cache.flush(reset_stats=True)
+        cache.reset_stats()
         assert cache.stats() == {}
 
     def test_flush_preserves_rng_position(self):
@@ -720,9 +719,9 @@ class TestSnapshot:
         restored.restore(snap)
         assert _cache_state(restored) == _cache_state(replayed)
 
-    # LRU stamps and the clock are kept relative to the last flush: the
-    # snapshot is taken on a cache flushed at one clock and restored into
-    # caches flushed at another, against replaying the steps there.
+    # A flush restarts the LRU clock at 0: the snapshot is taken on a
+    # cache flushed at one clock and restored into caches that ran to
+    # another, against a flush and a replay of the steps there.
     @settings(max_examples=100, deadline=None)
     @given(cfg=st.sampled_from([conventional_config(4, 4, "lru"),
                                 conventional_config(2, 3, "lru"),
@@ -738,18 +737,20 @@ class TestSnapshot:
             for d, s, t in lines:
                 cache.access(d, compose_address(cfg, s, t))
 
-        def flushed_at(clock):
+        def run_to(clock):
             cache = build_cache(cfg, 1)
             play(cache, [(3, i % cfg.num_sets, 100 + i) for i in range(clock)])
-            cache.flush()
             assert cache._clock == clock
             return cache
 
-        scratch = flushed_at(warm)
+        scratch = run_to(warm)
+        scratch.flush()
+        assert scratch._clock == 0
         scratch.reset_stats()  # a snapshot carries every stat so far
         play(scratch, steps)
         snap = scratch.snapshot()
-        replayed, restored = flushed_at(warm + extra), flushed_at(warm + extra)
+        replayed, restored = run_to(warm + extra), run_to(warm + extra)
+        replayed.flush()
         play(replayed, steps)
         restored.restore(snap)
         assert _cache_state(restored) == _cache_state(replayed)
@@ -759,37 +760,40 @@ class TestSnapshot:
 
     @pytest.mark.parametrize("cfg", [galois_config(SP4), conventional_config(4, 4, "lru")],
                              ids=str)
-    def test_restore_writes_occupied_cells_in_place(self, cfg):
+    def test_restore_writes_occupied_cells(self, cfg):
         scratch = build_cache(cfg, 3)
         for t in range(3):
             scratch.access(1, compose_address(cfg, 2, t))
         snap = scratch.snapshot()
         assert [idx for idx, _ in snap.lines] == [
             idx for idx, cell in enumerate(scratch._cells) if cell is not None]
-        for flushed in (False, True):
-            cache, replayed = build_cache(cfg, 5), build_cache(cfg, 5)
-            if flushed:
-                for c in (cache, replayed):
-                    c.access(0, 0x40)
-                    c.flush()
-            cells, stamps = cache._cells, cache._stamps
-            cache.restore(snap)
-            for t in range(3):
-                replayed.access(1, compose_address(cfg, 2, t))
-            assert cache._cells is cells and cache._stamps is stamps
-            assert _cache_state(cache) == _cache_state(replayed)
-
-    def test_restore_into_unflushed_cache_refused(self):
-        cfg = conventional_config(4, 4, "lru")
-        snap = build_cache(cfg).snapshot()
-        cache = build_cache(cfg)
-        cache.access(0, 0x40)
-        before = copy.deepcopy(_cache_state(cache))
-        with pytest.raises(ValueError, match="flush it first"):
-            cache.restore(snap)
-        assert _cache_state(cache) == before
-        cache.flush()
+        cache, replayed = build_cache(cfg, 5), build_cache(cfg, 5)
         cache.restore(snap)
+        for t in range(3):
+            replayed.access(1, compose_address(cfg, 2, t))
+        assert _cache_state(cache) == _cache_state(replayed)
+
+    @pytest.mark.parametrize("cfg", [galois_config(SP4), conventional_config(4, 4, "lru")],
+                             ids=str)
+    def test_restore_into_used_cache_equals_flush_and_replay(self, cfg):
+        steps = [(1, compose_address(cfg, 2, t)) for t in range(3)]
+        scratch = build_cache(cfg, 3)
+        for d, a in steps:
+            scratch.access(d, a)
+        snap = scratch.snapshot()
+        replayed, restored = build_cache(cfg, 5), build_cache(cfg, 5)
+        for cache in (replayed, restored):
+            # lines in the snapshot's cells and elsewhere, and stamps and
+            # a clock past the snapshot's
+            for s in range(4):
+                for t in range(4):
+                    cache.access(0, compose_address(cfg, s, 10 + t))
+        restored.restore(snap)
+        replayed.flush()
+        for d, a in steps:
+            replayed.access(d, a)
+        assert _cache_state(restored) == _cache_state(replayed)
+        assert {line for line in restored._cells if line} == {line for _, line in snap.lines}
 
     def test_other_replacement_refused(self):
         lru = build_cache(conventional_config(4, 4, "lru"))

@@ -1,15 +1,17 @@
 """Command-line interface: exit codes, report formats, precedence."""
 
+import contextlib
 import csv
+import io
 import json
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skewcache import attacks, cli
+from skewcache import DEFAULT_MODULI, attacks, cli
 from skewcache.cli import main
 
 
@@ -418,6 +420,20 @@ class TestConfigMerge:
             main([command, "--seed", "5"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (("verify", "--n", "3", "--modulus", "-11"), "modulus -11 is negative"),
+        (("cost", "--n", "3", "--modulus", "-11"), "modulus -11 is negative"),
+        (("verify", "--p", "5", "--n", "1", "--modulus", "7"),
+         "GF(5) takes no modulus, got 7"),
+        (("attack", "galois-pp", "--seed", "-1"), "seed -1 is negative"),
+        (("attack", "baseline-pp", "--seed", "-1"), "seed -1 is negative"),
+        (("attack", "sweep", "--trials", "0", "--seed", "-10"), "seed -10 is negative"),
+    ])
+    def test_bad_modulus_or_seed_rejected(self, monkeypatch, capsys, argv, message):
+        monkeypatch.setattr(attacks, "_run_trials", _refuse)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_over_limit_field_rejected(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--p", "65537", "--n", "1")
         assert code == 2
@@ -481,3 +497,149 @@ def test_config_precedence_property(data):
         assert main(argv) == 0
         echo = json.loads(report.read_text())["config"]
     assert echo == {**ATTACK_ECHO_DEFAULTS, **file_cfg, **flags, "trials": 0}
+
+
+# -- exit-code fuzz ------------------------------------------------------
+
+GOLDEN_TRACE = str(Path(__file__).parent / "golden" / "replay.trace")
+
+# every subcommand with its positional arguments, per simulate and attack kind
+FUZZ_RUNS = (
+    ("verify",),
+    ("cost",),
+    *(("simulate", GOLDEN_TRACE, "--kind", kind)
+      for kind in ("galois", "conventional", "stacked-galois")),
+    *(("attack", which) for which in ("baseline-pp", "galois-pp", "collusion", "sweep")),
+)
+_SMALL = [0, 1, 2, 3]
+_OUT_OF_RANGE = [-1, 16, 99]
+# valid, out-of-range and negative values per option; fields stay at
+# order 16 or below and trials below a shard's minimum, so no run forks
+# and none runs long
+FUZZ_VALUES = {
+    "p": [2, 3, 5, 7, 13, 0, 1, 4, -2, 65537, 2 ** 70],
+    "n": [1, 2, 3, 4, 0, -1, 17],
+    "modulus": [0, *(DEFAULT_MODULI[n] for n in (2, 3, 4)),
+                *(-DEFAULT_MODULI[n] for n in (2, 3, 4)), 7, 0b1111, -1],
+    "a": [1, 2, 3, 0, -1, 16],
+    "b": [1, 2, 3, 0, -1, 16],
+    "c": [0, 1, 3, -1, 16],
+    "seed": [0, 7, 2 ** 32, -1, -10],
+    "sets": [1, 2, 4, 64, 0, 3, -4, 2 ** 40],
+    "ways": [1, 2, 4, 8, 0, -1, 2 ** 30],
+    "replacement": ["random", "lru"],
+    "offset_bits": [0, 6, 12, -1],
+    "stack_bits": [0, 1, 2, -1, 25, 10 ** 6],
+    "trials": [0, 1, 20, attacks.MIN_SHARD_TRIALS - 1, -1],
+    **{name: _SMALL + _OUT_OF_RANGE for name in (
+        "victim_domain", "adversary_domain", "prober_domain", "squeezer_domain",
+        "victim_set", "prime_set", "skip_set")},
+    "victim_prob": [0.0, 0.25, 0.5, 1.0, -0.5, 1.5, float("nan"), float("inf")],
+    "n_min": [2, 3, 4, -1, 0, 1, 9],
+    "n_max": [2, 3, 4, -1, 0, 1, 9],
+    "sweep_kind": ["galois-pp", "collusion"],
+    "format": ["json", "csv"],
+    # paths under the example's scratch directory ({tmp}), where "file" is a file
+    "trial_log": ["{tmp}/trials.csv", "{tmp}/missing/trials.csv", "{tmp}",
+                  "{tmp}/report.out"],
+    "output": ["{tmp}/report.out", "{tmp}/missing/report.out", "{tmp}",
+               "{tmp}/trials.csv"],
+    "emit_netlists": ["{tmp}/nets", "{tmp}/file", "{tmp}/file/nets"],
+    "no_timestamp": [True, False],
+}
+# values of the wrong type, as a flag's text and as a config value
+_WRONG_FLAG = {int: ["x", "1.5", "0x"], float: ["x", "0.5.0"], bool: ["yes"]}
+_WRONG_CONFIG = {int: ["3", 1.5, True, [1]], float: ["0.5", True], str: [5, True],
+                 bool: ["yes", 1]}
+
+
+def _fuzz_value(opt, where):
+    """A value for ``opt``, given as a flag's text or as a config value."""
+    if isinstance(opt.type, tuple):  # a choice
+        wrong = ["fifo"]
+    else:
+        wrong = (_WRONG_FLAG if where == "flag" else _WRONG_CONFIG).get(opt.type, [])
+    return st.sampled_from(FUZZ_VALUES[opt.name] + wrong)
+
+
+@st.composite
+def cli_runs(draw):
+    """A run, its flags and its config file (an object, or a text that is
+    not one)."""
+    run = draw(st.sampled_from(FUZZ_RUNS))
+    options = {o.name: o for o in cli.OPTIONS
+               if run[0] in o.defaults and not (run[0] == "simulate" and o.name == "kind")}
+    names = draw(st.sets(st.sampled_from(sorted(options)), max_size=6))
+    if run[0] == "attack":
+        names.add("trials")  # the default, 10,000 trials, would fork
+    flags, file_cfg = {}, {}
+    for name in sorted(names):
+        where = draw(st.sampled_from(["flag", "file", "both"]))
+        if where != "file":
+            flags[name] = draw(_fuzz_value(options[name], "flag"))
+        if where != "flag":
+            file_cfg[name] = draw(_fuzz_value(options[name], "file"))
+    if draw(st.integers(0, 9)) == 0:
+        file_cfg = draw(st.sampled_from(["[1, 2]", "{", "null"]))
+    return run, flags, file_cfg
+
+
+def _must_refuse(run, resolved) -> bool:
+    """Whether the run reads a value it must refuse: a negative modulus,
+    or a nonzero one for a prime field, where it builds a field; a
+    negative seed in an attack."""
+    modulus, n, seed = (resolved.get(k) for k in ("modulus", "n", "seed"))
+    builds_field = run[0] in ("verify", "cost") or run[-1] in (
+        "galois", "stacked-galois", "galois-pp", "collusion")
+    if builds_field and type(modulus) is int and (modulus < 0 or (n == 1 and modulus)):
+        return True
+    return run[0] == "attack" and type(seed) is int and seed < 0
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's refusals
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=max(100, settings().max_examples), deadline=None, database=None)
+@given(case=cli_runs())
+@example(case=(("verify",), {"n": 3, "modulus": -11}, {}))
+@example(case=(("cost",), {"n": 3, "modulus": -11}, {}))
+@example(case=(("verify",), {"p": 5, "n": 1, "modulus": 7}, {}))
+@example(case=(("attack", "galois-pp"), {"trials": 20, "seed": -1}, {}))
+@example(case=(("attack", "sweep"), {"trials": 0}, {"seed": -1}))
+def test_exit_code_fuzz(case):
+    """Every run exits 0 or 2, without a traceback; an exit 2 writes
+    nothing to stdout and ends stderr with an ``error:`` line.  The
+    example budget comes from the loaded Hypothesis profile
+    (HYPOTHESIS_PROFILE=ci, see tests/conftest.py)."""
+    run, flags, file_cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "file").write_text("")
+
+        def place(value):
+            return value.replace("{tmp}", tmp) if isinstance(value, str) else value
+
+        argv = list(run)
+        for name, value in flags.items():
+            if value is not False:
+                argv.append("--" + name.replace("_", "-"))
+            if not isinstance(value, bool):
+                argv.append(place(value) if isinstance(value, str) else str(value))
+        config = Path(tmp, "cfg.json")
+        config.write_text(file_cfg if isinstance(file_cfg, str) else
+                          json.dumps({k: place(v) for k, v in file_cfg.items()}))
+        code, out, err = _run_main([*argv, "--config", str(config)])
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        assert "error:" in err.splitlines()[-1]
+    resolved = {**(file_cfg if isinstance(file_cfg, dict) else {}), **flags}
+    if _must_refuse(run, resolved):
+        assert code == 2, (code, err)

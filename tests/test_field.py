@@ -60,6 +60,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             FieldSpec.binary(3, modulus=0b111)
 
+    @pytest.mark.parametrize("n,modulus", [(3, -11), (2, -7), (4, -19), (3, -1)])
+    def test_rejects_negative_modulus(self, n, modulus):
+        # bit_length() ignores the sign: -11 would pass as x^3+x+1
+        with pytest.raises(ValueError, match=f"modulus {modulus} is negative"):
+            FieldSpec.binary(n, modulus)
+
+    @pytest.mark.parametrize("p,modulus", [(5, 7), (2, 3), (7, -1)])
+    def test_prime_field_rejects_modulus(self, p, modulus):
+        with pytest.raises(ValueError, match=f"{modulus}"):
+            FieldSpec(p=p, n=1, modulus=modulus)
+        assert FieldSpec(p=p, n=1, modulus=0).modulus == 0
+
     def test_rejects_oversized_degree(self):
         with pytest.raises(ValueError):
             FieldSpec.binary(17)
