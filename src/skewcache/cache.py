@@ -49,20 +49,29 @@ an empty cache, without replaying them; under LRU the snapshot holds
 the stamps and the clock as they are, since both count from the flush.
 
 One batch loop serves trace replay.  ``play`` accesses a stream of
-``(domain, op, addr)`` records in order.  It looks up a domain's row
-table, stats row and op counts once per call, and reads a row's cells
-with one ``operator.itemgetter`` per laid-out row, kept per domain
-(shared under the conventional layout).  The hit, first-free-way and
-victim choices are those of ``_access_line`` in the same way order, so
-cells, stats, LRU stamps, clock and random stream end as an ``access``
-per record leaves them; ``_access_line`` is its oracle.
+``(domain, op, addr)`` records in order through a line index built on
+entry: a dict from ``(domain, block)`` to the cell that holds the line,
+and per cell the key it is indexed by.  A warm line is indexed through
+the row of its domain that holds its cell, found by walking that
+domain's rows.  A hit is one dict lookup; a miss reads its row only
+for the first free way (while the cache has one) or the LRU ages, and
+a random-replacement miss on a full row draws its victim without
+reading the row.  The index is exact for domains whose rows share no
+cell (``_rows_disjoint``); the first record of any other domain hands
+it and the rest of the stream to ``_play_each``, one ``_access_line``
+a record.  No real field reaches that handoff: only a ring that is not a
+field (the tests' negative control) has a domain whose rows overlap.
+The index loop's hit, first-free-way and victim choices are those of
+``_access_line`` in the same way order, so cells, stats, LRU stamps,
+clock and random stream end as an ``access`` per record leaves them;
+``_access_line`` is its oracle.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import chain
 from typing import NamedTuple, Optional
 
 from .field import MAX_CELLS
@@ -258,7 +267,6 @@ class _BaseCache:
         self._clock = 0
         self._disjoint: dict[int, bool] = {}
         self._groups: dict[tuple, _Group] = {}
-        self._readers: dict[int, list] = {}
 
     def _row_table(self, domain: int) -> list[Optional[tuple[int, ...]]]:
         """An empty row table for a domain's first access."""
@@ -405,20 +413,54 @@ class _BaseCache:
         per-domain R/W counts (any op but ``"R"`` counts as a write).
 
         The batch loop ``trace.replay`` runs: equal to an ``access`` of
-        each record, which stays its oracle, with the scan of
-        ``_access_line`` done on the tuple a row's ``itemgetter`` reads
-        in one C call.  Records are consumed lazily; a bad record raises
-        the ``ValueError`` of ``access`` with the records before it
-        played.
+        each record, which stays its oracle.  The records go through the
+        line index (``_play_indexed``) up to the first record of a
+        domain whose rows overlap; that record and the rest go one
+        ``_access_line`` each (``_play_each``).  Records are consumed
+        lazily; a bad record raises the ``ValueError`` of ``access``
+        with the records before it played.
         """
+        records = iter(records)
+        ops: dict[int, list[int]] = {}  # domain -> its R/W counts
+        handoff = self._play_indexed(records, ops)
+        if handoff is not None:
+            self._play_each(chain((handoff,), records), ops)
+        return {d: {"reads": counts[0], "writes": counts[1]} for d, counts in ops.items()}
+
+    def _line_index(self) -> tuple[dict, list]:
+        """``play``'s index of the resident lines: ``(domain, block)`` ->
+        cell for each line of a domain whose rows share no cell, and per
+        cell its key (None for a free cell or another domain's line).  A
+        line's block is its tag and the row of its domain holding it."""
+        cells, span = self._cells, self._span
+        where: dict[tuple, int] = {}
+        held: list[Optional[tuple]] = [None] * len(cells)
+        for d in {cell[0] for cell in cells if cell is not None}:
+            if self._rows_disjoint(d):
+                for r in range(span):
+                    for idx in self._row(d, r):
+                        cell = cells[idx]
+                        if cell is not None and cell[0] == d:
+                            key = held[idx] = (d, cell[1] * span + r)
+                            where[key] = idx
+        return where, held
+
+    def _play_indexed(self, records, ops: dict) -> Optional[tuple]:
+        """Play records through the line index, adding their R/W counts
+        to ``ops``; returns the first record of a domain whose rows
+        overlap, unplayed, or None when the records run out."""
         cells = self._cells
         stamps, lru = self._stamps, self._lru
+        age = stamps.__getitem__ if lru else None
         draw, ways, off, span = self.rng.getrandbits, self._ways, self._off, self._span
-        seen: dict[int, tuple] = {}  # domain -> its row table, readers, stats, R/W counts
+        where, held = self._line_index()
+        free = cells.count(None)
+        seen: dict[int, tuple] = {}  # domain -> its row table, stats and R/W counts
         clock = self._clock
         try:
             # stats slots _HITS.._SELF_EVICTIONS as literals 0..3, as in _access_line
-            for domain, op, addr in records:
+            for rec in records:
+                domain, op, addr = rec
                 if addr < 0:
                     raise ValueError("addresses are unsigned")
                 mine = seen.get(domain)
@@ -426,56 +468,61 @@ class _BaseCache:
                     rows = self._rows.get(domain)
                     if rows is None:
                         rows = self._rows[domain] = self._row_table(domain)
+                    if not self._rows_disjoint(domain):
+                        return rec
                     stats = self._stats.get(domain)
                     if stats is None:
                         stats = self._stats[domain] = [0, 0, 0, 0]
-                    mine = seen[domain] = (rows, self._reader_table(domain), stats, [0, 0])
-                rows, readers, stats, counts = mine
+                    mine = seen[domain] = (rows, stats, ops.setdefault(domain, [0, 0]))
+                rows, stats, counts = mine
                 counts[op != "R"] += 1
                 block = addr >> off
-                row = block % span
-                key = (domain, block // span)
-                read = readers[row]
-                if read is None:
-                    cand = self._row(domain, row)
-                    # a one-way row reads its cell twice, so a read is a tuple
-                    read = readers[row] = itemgetter(*cand, *cand) if ways == 1 \
-                        else itemgetter(*cand)
-                vals = read(cells)
-                if key in vals:
+                key = (domain, block)
+                idx = where.get(key)
+                if idx is not None:
                     stats[0] += 1
                     if lru:
                         clock += 1
-                        stamps[rows[row][vals.index(key)]] = clock
+                        stamps[idx] = clock
                     continue
                 stats[1] += 1
-                if None in vals:
-                    w = vals.index(None)
-                else:
-                    if lru:
-                        ages = read(stamps)
-                        w = ages.index(min(ages))
-                    else:
-                        w = draw(64) % ways
-                    victim = vals[w]
+                row = block % span
+                cand = rows[row]
+                if cand is None:
+                    cand = self._row(domain, row)
+                if free:
+                    for i in cand:
+                        if cells[i] is None:
+                            idx = i
+                            free -= 1
+                            break
+                if idx is None:
+                    idx = min(cand, key=age) if lru else cand[draw(64) % ways]
+                    victim = cells[idx]
                     stats[3 if victim[0] == domain else 2] += 1
-                idx = rows[row][w]
-                cells[idx] = key
+                    evicted = held[idx]
+                    if evicted is not None:
+                        del where[evicted]
+                cells[idx] = (domain, block // span)
+                where[key] = idx
+                held[idx] = key
                 if lru:
                     clock += 1
                     stamps[idx] = clock
         finally:
             self._clock = clock
-        return {d: {"reads": counts[0], "writes": counts[1]}
-                for d, (_, _, _, counts) in seen.items()}
+        return None
 
-    def _reader_table(self, domain: int) -> list:
-        """A domain's row readers for ``play``, one ``itemgetter`` per
-        laid-out row, built on first use; parallel to its row table."""
-        readers = self._readers.get(domain)
-        if readers is None:
-            readers = self._readers[domain] = [None] * self._span
-        return readers
+    def _play_each(self, records, ops: dict) -> None:
+        """Play records one ``_access_line`` each, as ``access`` does,
+        adding their R/W counts to ``ops``."""
+        off, span, access = self._off, self._span, self._access_line
+        for domain, op, addr in records:
+            if addr < 0:
+                raise ValueError("addresses are unsigned")
+            block = addr >> off
+            access(domain, block % span, block // span)
+            ops.setdefault(domain, [0, 0])[op != "R"] += 1
 
     def fill_group(self, domain: int, addrs, max_rounds: int = 4096) -> int:
         """Access each address once, then probe the group in passes until
@@ -675,15 +722,11 @@ class ConventionalCache(_BaseCache):
     def __init__(self, cfg: CacheConfig, seed: int = 0):
         super().__init__(cfg, seed)
         self._shared_rows: list[Optional[tuple[int, ...]]] = [None] * self._span
-        self._shared_readers: list = [None] * self._span
 
     def _row_table(self, domain: int) -> list[Optional[tuple[int, ...]]]:
         if domain < 0:
             raise ValueError(f"domain id {domain} is negative")
         return self._shared_rows
-
-    def _reader_table(self, domain: int) -> list:
-        return self._shared_readers
 
     def _layout(self, domain: int, row: int) -> tuple[int, ...]:
         return tuple(range(row * self._ways, (row + 1) * self._ways))

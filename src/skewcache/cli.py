@@ -253,6 +253,8 @@ def _cache_config(cfg: dict) -> CacheConfig:
 
 
 def cmd_simulate(cfg: dict) -> int:
+    if cfg["seed"] < 0:  # random.Random would seed from |seed|
+        raise ValueError(f"seed {cfg['seed']} is negative")
     cache_cfg = _cache_config(cfg)
     cache = build_cache(cache_cfg, cfg["seed"])
     ops = replay(cache, load_trace(cfg["trace"], cache_cfg.num_domains))

@@ -7,8 +7,20 @@ placement.  The fields are strict: the domain id is ASCII decimal
 digits, the op ``R``, ``W``, ``r`` or ``w``, and the address an optional
 ``0x``/``0X`` followed by ASCII hex digits.  No sign, no underscore and
 no other script's digits; any other line raises TraceError with its
-1-based line number.  The parser streams and checks a domain string
-only the first time it sees it.
+1-based line number.
+
+Records are plain ``(domain, op, addr)`` tuples (``TraceRecord`` names
+the shape).  ``_records`` parses one line at a time and checks a domain
+string only the first time it sees it.  ``load_trace`` streams a file a
+chunk of whole lines at a time.  ``_PLAIN`` matches the run of plain
+record lines (no comment, no blank line, no whitespace but spaces and
+tabs) at the start of the chunk, and ``str.split`` with C-level
+``map`` and ``zip`` parses the run.  The line the pattern refused goes
+to ``_records`` with its line number, and the match resumes after it.
+A run shorter than ``_MIN_RUN`` lines, or one whose domain or address
+conversion raises, goes to ``_records`` with the rest of its chunk.  So
+the records and any TraceError (message and line number) are those of
+``_records`` over the whole file, which stays the oracle.
 
 ``replay`` hands the records to the cache's batch loop
 (``_BaseCache.play``) when the cache's ``access`` is the core's own.  A
@@ -18,12 +30,28 @@ per record instead, so replay stays "``access`` per record" for it.
 
 from __future__ import annotations
 
+import re
+from itertools import chain, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .cache import _BaseCache
 
+# Whole lines read per chunk.  Past about 256 KiB the pattern's
+# validation of a chunk grows faster than linearly.
+_CHUNK_HINT = 1 << 16
+
+# A run of plain record lines.  An ``x`` out of place passes here and
+# fails ``int(_, 16)``, which sends the run to the per-line parser.
+_PLAIN = re.compile(r"(?:[ \t]*[0-9]+[ \t]+[RWrw][ \t]+[0-9A-Fa-fxX]+[ \t]*\n)*")
+
+# A shorter run of plain lines is not worth a bulk parse: it and the
+# rest of its chunk go to the per-line parser.
+_MIN_RUN = 16
+
 
 class TraceRecord(NamedTuple):
+    """The shape of a record; the parsers yield plain tuples of it."""
+
     domain: int
     op: str  # "R" or "W"
     addr: int
@@ -55,10 +83,11 @@ def _domain_id(lineno: int, dom_s: str, domains: Optional[int]) -> int:
     return domain
 
 
-def _records(lines: Iterable[str],
-             domains: Optional[int] = None) -> Iterator[TraceRecord]:
-    """Parse lines one at a time; a malformed line, or a domain id of
-    ``domains`` or more, raises TraceError.
+def _records(lines: Iterable[str], domains: Optional[int] = None,
+             start: int = 1) -> Iterator[TraceRecord]:
+    """Parse lines one at a time, the first numbered ``start``; a
+    malformed line, or a domain id of ``domains`` or more, raises
+    TraceError.
 
     A domain field is checked when its string is first seen and its id
     memoized; an address field must be ASCII letters and digits before
@@ -66,8 +95,7 @@ def _records(lines: Iterable[str],
     hex digits.
     """
     domain_of: dict[str, int] = {}
-    new = tuple.__new__  # TraceRecord's own __new__ is a Python call
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(lines, start=start):
         if "#" in raw:
             raw = raw.split("#", 1)[0]
         fields = raw.split()
@@ -88,7 +116,7 @@ def _records(lines: Iterable[str],
             addr = int(addr_s, 16)
         except ValueError:
             raise TraceError(lineno, f"bad hex address {addr_s!r}") from None
-        yield new(TraceRecord, (domain, op, addr))
+        yield domain, op, addr
 
 
 def parse_trace_lines(lines: Iterable[str],
@@ -96,13 +124,56 @@ def parse_trace_lines(lines: Iterable[str],
     return list(_records(lines, domains))
 
 
-def load_trace(path, domains: Optional[int] = None) -> Iterator[TraceRecord]:
-    """Stream the records of a trace file.  The file opens when the
-    first record is requested and closes when the records run out or
-    the iterator is discarded.  ``domains``, when given, bounds the
-    domain ids, so an out-of-range id is reported with its line."""
+def _bulk(text: str, lineno: int, domains: Optional[int],
+          domain_of: dict[str, int]) -> Optional[Iterable[TraceRecord]]:
+    """The records of a run of lines ``_PLAIN`` accepted, parsed by
+    ``str.split`` and C-level ``map``; None if a domain or address
+    conversion raises (``_records`` then names the line)."""
+    fields = text.split()
+    doms = fields[0::3]
+    try:
+        for dom_s in set(doms).difference(domain_of):
+            domain_of[dom_s] = _domain_id(lineno, dom_s, domains)
+        addrs = list(map(int, fields[2::3], repeat(16)))
+    except ValueError:  # TraceError included
+        return None
+    return zip(map(domain_of.__getitem__, doms), map(_OPS.__getitem__, fields[1::3]), addrs)
+
+
+def _chunks(path, domains: Optional[int], hint: int) -> Iterator[Iterable[TraceRecord]]:
+    """The records of a trace file, one iterable per run of lines, read
+    a chunk of whole lines of about ``hint`` characters at a time
+    (module docstring)."""
+    domain_of: dict[str, int] = {}
+    lineno = 1
     with open(path, "r", encoding="utf-8") as fh:
-        yield from _records(fh, domains)
+        while lines := fh.readlines(hint):
+            chunk = "".join(lines)
+            pos = done = 0  # the chunk's characters and lines parsed
+            while done < len(lines):
+                end = _PLAIN.match(chunk, pos).end()
+                run = chunk.count("\n", pos, end)
+                parsed = _bulk(chunk[pos:end], lineno + done, domains, domain_of) \
+                    if run >= _MIN_RUN else None
+                if parsed is None:
+                    yield _records(lines[done:], domains, lineno + done)
+                    break
+                yield parsed
+                done += run
+                if done < len(lines):  # the line the pattern refused
+                    yield _records(lines[done:done + 1], domains, lineno + done)
+                    pos = end + len(lines[done])
+                    done += 1
+            lineno += len(lines)
+
+
+def load_trace(path, domains: Optional[int] = None) -> Iterator[TraceRecord]:
+    """Stream the records of a trace file, parsed a chunk at a time.
+    The file opens when the first record is requested and closes when
+    the records run out or the iterator is discarded.  ``domains``,
+    when given, bounds the domain ids, so an out-of-range id is reported
+    with its line."""
+    return chain.from_iterable(_chunks(path, domains, _CHUNK_HINT))
 
 
 def replay(cache, records: Iterable[TraceRecord]) -> dict[int, dict[str, int]]:
@@ -117,8 +188,8 @@ def replay(cache, records: Iterable[TraceRecord]) -> dict[int, dict[str, int]]:
     if type(cache).access is _BaseCache.access:
         return cache.play(records)
     ops: dict[int, dict[str, int]] = {}
-    for rec in records:
-        cache.access(rec.domain, rec.addr)
-        row = ops.setdefault(rec.domain, {"reads": 0, "writes": 0})
-        row["reads" if rec.op == "R" else "writes"] += 1
+    for domain, op, addr in records:
+        cache.access(domain, addr)
+        row = ops.setdefault(domain, {"reads": 0, "writes": 0})
+        row["reads" if op == "R" else "writes"] += 1
     return ops

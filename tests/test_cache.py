@@ -595,7 +595,7 @@ class TestProbeGroup:
 # replay's batch loop (``play``) against an ``access`` per record:
 # GF(4), GF(5) and GF(8), conventional caches under both replacements,
 # one-way ones among them, stacked k=1 and k=2, and the mod-4 ring with
-# a=2, whose rows overlap.
+# a=2, whose rows overlap (every domain's: its records go to _play_each).
 REPLAY_CONFIGS = [
     GF4_CFG,
     galois_config(SkewParams(FieldSpec.prime(5))),
@@ -612,10 +612,14 @@ REPLAY_CONFIGS = [
 
 @st.composite
 def replay_cases(draw):
-    """A cache config, a seed, records over a few rows and tags (so lines
-    repeat and rows fill past their ways), a split point, and an
-    optional bad record (out-of-range domain or negative address) with
-    its position."""
+    """A cache config, a seed, a starting state, records over a few rows
+    and tags (so lines repeat and rows fill past their ways), a split
+    point, and an optional bad record (out-of-range domain or negative
+    address) with its position.
+
+    The start optionally fills every row with domain 1, then accesses
+    warm records of the same rows and tags, so ``play`` indexes lines
+    already resident."""
     cfg = draw(st.sampled_from(REPLAY_CONFIGS))
     rows = cfg.num_sets * cfg.num_instances
     domains = min(cfg.num_domains or 4, 4)
@@ -623,15 +627,31 @@ def replay_cases(draw):
     record = st.tuples(st.integers(0, domains - 1), st.sampled_from("RW"),
                        st.sampled_from(hot_rows), st.integers(0, cfg.num_ways + 2),
                        st.integers(0, (1 << cfg.line_offset_bits) - 1))
-    records = [(d, op, _addr(cfg, r, t) | offset)
-               for d, op, r, t, offset in draw(st.lists(record, max_size=60))]
+    records, warm = ([(d, op, _addr(cfg, r, t) | offset)
+                      for d, op, r, t, offset in draw(st.lists(record, max_size=size))]
+                     for size in (60, 20))
     split = draw(st.integers(0, len(records)))
     bad = draw(st.sampled_from([None, "domain", "addr"]))
     if bad is not None:
         bad_record = (-1 if cfg.num_domains is None else cfg.num_domains, "R", 0x40) \
             if bad == "domain" else (0, "W", -0x40)
         records.insert(draw(st.integers(0, len(records))), bad_record)
-    return cfg, draw(st.integers(0, 2**32 - 1)), records, split, bad is not None
+    start = draw(st.booleans()), warm
+    return cfg, draw(st.integers(0, 2**32 - 1)), start, records, split, bad is not None
+
+
+def _replay_caches(case, count=2):
+    """Caches in the case's starting state, built alike through ``access``."""
+    cfg, seed, (full, warm), *_ = case
+    caches = [build_cache(cfg, seed) for _ in range(count)]
+    for cache in caches:
+        if full:
+            for r in range(cfg.num_sets * cfg.num_instances):
+                for t in range(cfg.num_ways):
+                    cache.access(1, _addr(cfg, r, 100 + t))
+        for d, _, addr in warm:
+            cache.access(d, addr)
+    return caches
 
 
 def _access_each(cache, records, ops):
@@ -647,12 +667,30 @@ def _access_each(cache, records, ops):
     return None
 
 
+def _claim_overlap(cache, domain):
+    """A test double: ``cache`` with ``_rows_disjoint`` False for
+    ``domain``, as if its rows overlapped.  Returns the list the calls
+    of the per-record loop ``_play_each`` are logged to."""
+    disjoint, each = cache._rows_disjoint, cache._play_each
+    handoffs = []
+    cache._rows_disjoint = lambda d: d != domain and disjoint(d)
+    cache._play_each = lambda records, ops: handoffs.append(ops) or each(records, ops)
+    return handoffs
+
+
+# GF(4) full of domain 1, which the double claims overlaps: domain 0's
+# misses evict lines the index does not hold, and no record hands off
+EVICTS_UNINDEXED_LINE = (GF4_CFG, 0, (True, []),
+                         [(0, "R", _addr(GF4_CFG, 0, 0)), (0, "W", _addr(GF4_CFG, 1, 0))],
+                         0, False)
+
+
 class TestReplay:
     @ORACLE_SETTINGS
     @given(case=replay_cases())
     def test_replay_matches_access_oracle(self, case):
-        cfg, seed, records, split, bad = case
-        player, split_player, oracle = (build_cache(cfg, seed) for _ in range(3))
+        _, _, _, records, split, bad = case
+        player, split_player, oracle = _replay_caches(case, 3)
         expected = {}
         error = _access_each(oracle, records[:split], expected)
         stats_at_split = oracle.stats()
@@ -675,6 +713,58 @@ class TestReplay:
                 replay(player, iter(records))
             assert str(exc.value) == error
         assert _cache_state(player) == _cache_state(oracle)
+
+    @ORACLE_SETTINGS
+    @given(case=replay_cases(), overlap=st.integers(0, 3))
+    @example(case=EVICTS_UNINDEXED_LINE, overlap=1)
+    def test_handoff_matches_access_oracle(self, case, overlap):
+        """The first record of a domain whose rows overlap hands it and
+        the rest to ``_play_each``, mid-stream; the double makes one
+        domain of any cache such a domain."""
+        records = case[3]
+        player, oracle = _replay_caches(case)
+        handoffs = _claim_overlap(player, overlap)
+        expected = {}
+        error = _access_each(oracle, records, expected)
+        if error is None:
+            assert replay(player, iter(records)) == expected
+        else:
+            with pytest.raises(ValueError) as exc:
+                replay(player, iter(records))
+            assert str(exc.value) == error
+        assert _cache_state(player) == _cache_state(oracle)
+        played = sum(row["reads"] + row["writes"] for row in expected.values())
+        handoff = any(d == overlap or not oracle._rows_disjoint(d)
+                      for d, _, _ in records[:played])
+        assert len(handoffs) == handoff
+
+    def test_unindexed_line_example_evicts(self):
+        player = _replay_caches(EVICTS_UNINDEXED_LINE)[0]
+        handoffs = _claim_overlap(player, 1)
+        replay(player, iter(EVICTS_UNINDEXED_LINE[3]))
+        assert handoffs == []
+        assert player.stats()[0]["evictions_caused"] == 2
+
+    # the ring's rows cover only some cells, and its records hand off at once
+    @pytest.mark.parametrize("cfg", REPLAY_CONFIGS[:-1], ids=str)
+    def test_filling_replay_matches_access_oracle(self, cfg):
+        """A stream that fills every free cell mid-call, then evicts,
+        from a warm start."""
+        rows, ways = cfg.num_sets * cfg.num_instances, cfg.num_ways
+        lines = [(d, "RW"[t % 2], _addr(cfg, r, t))
+                 for t in range(2 * ways + 2) for r in range(rows) for d in (0, 1)]
+        player, oracle = (build_cache(cfg, 3) for _ in range(2))
+        for cache in (player, oracle):
+            for d, _, addr in lines[:rows]:
+                cache.access(d, addr)
+        stream = lines * 2
+        expected = {}
+        assert _access_each(oracle, stream, expected) is None
+        assert replay(player, iter(stream)) == expected
+        assert _cache_state(player) == _cache_state(oracle)
+        assert None not in player._cells
+        assert sum(row["evictions_caused"] + row["self_evictions"]
+                   for row in player.stats().values()) > 0
 
 
 class TestRowsDisjoint:

@@ -434,6 +434,19 @@ class TestConfigMerge:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_simulate_negative_seed_rejected(self, tmp_path, capsys, where):
+        """Refused before the trace is opened: the trace named does not exist."""
+        argv = ["simulate", str(tmp_path / "missing.trace")]
+        if where == "flag":
+            argv += ["--seed", "-7"]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"seed": -7}))
+            argv += ["--config", str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: seed -7 is negative\n")
+
     def test_over_limit_field_rejected(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--p", "65537", "--n", "1")
         assert code == 2
@@ -587,13 +600,13 @@ def cli_runs(draw):
 def _must_refuse(run, resolved) -> bool:
     """Whether the run reads a value it must refuse: a negative modulus,
     or a nonzero one for a prime field, where it builds a field; a
-    negative seed in an attack."""
+    negative seed."""
     modulus, n, seed = (resolved.get(k) for k in ("modulus", "n", "seed"))
     builds_field = run[0] in ("verify", "cost") or run[-1] in (
         "galois", "stacked-galois", "galois-pp", "collusion")
     if builds_field and type(modulus) is int and (modulus < 0 or (n == 1 and modulus)):
         return True
-    return run[0] == "attack" and type(seed) is int and seed < 0
+    return run[0] in ("attack", "simulate") and type(seed) is int and seed < 0
 
 
 def _run_main(argv):
@@ -613,6 +626,7 @@ def _run_main(argv):
 @example(case=(("verify",), {"p": 5, "n": 1, "modulus": 7}, {}))
 @example(case=(("attack", "galois-pp"), {"trials": 20, "seed": -1}, {}))
 @example(case=(("attack", "sweep"), {"trials": 0}, {"seed": -1}))
+@example(case=(FUZZ_RUNS[2], {}, {"seed": -7}))
 def test_exit_code_fuzz(case):
     """Every run exits 0 or 2, without a traceback; an exit 2 writes
     nothing to stdout and ends stderr with an ``error:`` line.  The

@@ -1,7 +1,11 @@
 """Trace format parsing and replay."""
 
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skewcache import (
@@ -13,6 +17,7 @@ from skewcache import (
     load_trace,
     parse_trace_lines,
     replay,
+    trace,
 )
 from skewcache.cache import GaloisCache, _BaseCache
 
@@ -111,6 +116,96 @@ def test_domain_limit_names_line():
                                          "range for 4 domains"):
         parse_trace_lines(["0 R 40", "", "4 W 40"], domains=4)
     assert parse_trace_lines(["3 R 40"], domains=4) == [(3, "R", 0x40)]
+
+
+# Pieces of the chunked parser's oracle test.  A plain line is what the
+# chunk pattern accepts; the plain pieces past the first five values
+# still fail a conversion (a domain out of range for 4 domains, a
+# 5,000-digit domain, x40, 1x2, 0x).  Any other line sends its chunk to
+# _records, well-formed or not.
+_PLAIN_PIECES = (["", " ", "\t"], ["0", "1", "3", "007", "2", "4", "9" * 5000],
+                 ["R", "W", "r", "w"], [" ", "\t", "  ", " \t"],
+                 ["40", "0x40", "0X40", "0XdeadBEEF", "f" * 30, "x40", "1x2", "0x"])
+_OTHER_PIECES = (["\x0c", "\x85", " # trailing"], ["x", "-1", "+1", "\u0663"], ["Q", "RW"],
+                 ["\x0b", "\x0c", "\x1c", "\x85"], ["zz", "4_0", "-40"])
+_NOISE = ["", "   ", "# comment", "  # 0 R 40", "0 R", "0 R 40 1"]
+_NEWLINES = ["\n", "\n", "\r\n", "\r"]
+
+
+@st.composite
+def _raw_line(draw, good=False):
+    """A line: with ``good``, one the chunk path parses; otherwise a
+    plain line, a line with other pieces, or noise."""
+    if not good and draw(st.integers(0, 7)) == 0:
+        return draw(st.sampled_from(_NOISE))
+    plain = good or draw(st.integers(0, 3)) > 0
+
+    def piece(i):
+        values = _PLAIN_PIECES[i] if plain or draw(st.booleans()) else _OTHER_PIECES[i]
+        return draw(st.sampled_from(values[:5] if good else values))
+
+    return "".join([piece(0), piece(1), piece(3), piece(2), piece(3), piece(4),
+                    piece(0)])
+
+
+@st.composite
+def _trace_text(draw):
+    """A trace file's text, each line ended by any newline and the last
+    maybe by none: good lines with one other line among them, or lines
+    of every kind."""
+    if draw(st.booleans()):
+        lines = draw(st.lists(_raw_line(good=True), max_size=30))
+        lines.insert(draw(st.integers(0, len(lines))), draw(_raw_line()))
+    else:
+        lines = draw(st.lists(_raw_line(), max_size=30))
+    ends = [draw(st.sampled_from(_NEWLINES)) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _drain(records):
+    """The records up to the first TraceError, and that error's message
+    and line number (None if the records run out)."""
+    out = []
+    try:
+        for rec in records:
+            out.append(rec)
+    except TraceError as exc:
+        return out, (str(exc), exc.line_number)
+    return out, None
+
+
+# The per-line parser is the oracle; the example budget comes from the
+# loaded Hypothesis profile (HYPOTHESIS_PROFILE=ci, see tests/conftest.py).
+# A chunk ends with the first line that takes it past the hint, so the
+# bad third line ends the first chunk at hint 14 and starts the second at
+# 7; at hint 40 one chunk holds runs of plain lines between refused ones.
+@settings(max_examples=max(150, settings().max_examples), deadline=None)
+@given(text=_trace_text(), hint=st.integers(1, 40), min_run=st.integers(1, 3),
+       domains=st.sampled_from([None, 4, DOMAIN_MAX + 1]))
+@example(text="0 R 40\n1 W 80\n2 R zz\n3 W c0\n", hint=14, min_run=1, domains=None)
+@example(text="0 R 40\n1 W 80\n2 R zz\n3 W c0\n", hint=7, min_run=1, domains=None)
+@example(text="0 R 40\r\n" + "9" * 5000 + " R 40\r3 w 0x\n", hint=1, min_run=1,
+         domains=4)
+@example(text="0 R 40\n# c\n1 W 80\n\n2 r 0xc0\n3 w 0\n", hint=40, min_run=1,
+         domains=None)
+@example(text="0 R 40\n# c\n1 W 80\n2 R zz\n3 W c0\n", hint=40, min_run=2,
+         domains=None)
+def test_chunked_stream_matches_line_oracle(text, hint, min_run, domains):
+    """``load_trace``, chunks of a few characters so they split anywhere
+    and bulk runs of a few lines, yields what ``_records`` yields over
+    the same lines, and raises the same TraceError at the same line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "t.trace")
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(trace, "_CHUNK_HINT", hint), \
+                mock.patch.object(trace, "_MIN_RUN", min_run):
+            got = _drain(load_trace(path, domains))
+        with open(path, "r", encoding="utf-8") as fh:
+            want = _drain(trace._records(fh, domains))
+    assert got == want
+    assert all(type(rec) is tuple for rec in got[0])
 
 
 def test_load_trace_streams_the_parsed_records(tmp_path):
