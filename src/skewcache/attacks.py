@@ -23,6 +23,17 @@ in every trial.  The driver plays the prefix once on a scratch cache,
 refusing it if the random stream moved, and every trial ``restore``s
 that snapshot, which flushes the cache, instead of replaying the steps.
 
+A whole trial that draws no random number is played once as well.
+Every trial starts from that one snapshot, and a protocol may be
+steered only by the cache and the victim's activity, so such a trial
+ends the same way, with the same stats, as every trial with its
+activity value.  Each shard plays the first trial of each value; if it
+drew nothing (``rng.getstate()`` unchanged), later trials with that
+value only draw their coin and count its outcome, and the shard adds
+its stats delta once per trial.  Baseline prime-probe under LRU draws
+in no trial, galois-pp only when the victim is active (its fill evicts
+at random), collusion in every trial (its squeeze evicts at random).
+
 The probes and collusion's squeeze are groups of one domain's lines,
 which the cache runs through its row-local kernel: each row is scanned
 once, and then every miss is one cell write and at most one draw.
@@ -214,6 +225,78 @@ def _prefix_snapshot(sc: AttackScenario, prefix):
     return scratch.snapshot()
 
 
+def _add_stats(total: dict, part: dict, times: int = 1) -> None:
+    """Add ``times`` times each domain's stats row of ``part`` into
+    ``total``, adding rows ``total`` lacks."""
+    for d, row in part.items():
+        into = total.setdefault(d, dict.fromkeys(row, 0))
+        for key, value in row.items():
+            into[key] += times * value
+
+
+def _play_trials(sc: AttackScenario, cache, snapshot, protocol, value_key: Optional[str],
+                 first: int, stop: int):
+    """Trials ``first`` to ``stop`` of one shard, on ``cache``: returns
+    the counts (tp, fp, fn, tn, then the count of each value), the trial
+    rows (None unless recorded) and the domain stats.
+
+    The first trial of each activity value is played in full.  If its
+    protocol drew no random number, the value's outcome and stats delta
+    are kept, and a later trial with that value only draws its coin
+    (nothing at all when the probability is 0 or 1) and reuses them; the
+    stats delta is added once per reuse at the end.  A value whose first
+    trial drew is played in every trial.
+    """
+    p = sc.victim_access_probability
+    coin_draws = 0.0 < p < 1.0
+    counts = [0] * (4 + sc.cache.num_sets)
+    rows = [] if sc.record_trials else None
+    # activity -> [outcome, stats delta, reuses], or None once it drew
+    memo: dict[bool, Optional[list]] = {}
+    for trial in range(first, stop):
+        if coin_draws:
+            cache.reseed(sc.seed + trial)
+        active = _trial_active(cache.rng, p)
+        entry = memo.get(active)
+        if entry:
+            entry[2] += 1
+            detected, correct, value = entry[0]
+        else:
+            if not coin_draws:
+                cache.reseed(sc.seed + trial)
+            unseen = active not in memo
+            if unseen:
+                state, before = cache.rng.getstate(), cache.stats()
+            cache.restore(snapshot)
+            detected, correct, value = protocol(cache, active)
+            if unseen:
+                memo[active] = None
+                if cache.rng.getstate() == state:
+                    delta = cache.stats()
+                    _add_stats(delta, before, -1)
+                    memo[active] = [(detected, correct, value), delta, 0]
+        if active and correct:
+            counts[0] += 1
+        elif detected:
+            counts[1] += 1
+        elif active:
+            counts[2] += 1
+        else:
+            counts[3] += 1
+        if value >= 0:
+            counts[4 + value] += 1
+        if rows is not None:
+            row = {"trial": trial, "active": active, "detected": detected}
+            if value_key is not None:
+                row[value_key] = value
+            rows.append(row)
+    stats = cache.stats()
+    for entry in memo.values():
+        if entry:
+            _add_stats(stats, entry[1], entry[2])
+    return counts, rows, stats
+
+
 def _run_trials(sc: AttackScenario, protocol, definition: str, prefix,
                 value_key: Optional[str] = None) -> tuple[DetectionReport, list[int]]:
     """Run the scenario's trials of one protocol; returns the report and
@@ -228,45 +311,27 @@ def _run_trials(sc: AttackScenario, protocol, definition: str, prefix,
     nothing fired.  Each trial adds to exactly one confusion cell and,
     unless -1, to its value's count; the trial row keeps the value under
     ``value_key``, if given.
+
+    A protocol must be steered by nothing but the cache (its cells, LRU
+    stamps and clock, and random stream) and ``active``: no state of its
+    own, no trial index, no outside input.  Every trial starts from the
+    same restored snapshot, so a trial that draws no random number has
+    the same outcome and stats delta as every other trial with its
+    ``active``, and ``_play_trials`` plays it once per shard and counts
+    the rest.
     """
     cache = build_cache(sc.cache, sc.seed)
     snapshot = _prefix_snapshot(sc, prefix)
 
     def play(first: int, stop: int):
-        # tp, fp, fn, tn, then the count of each value
-        counts = [0] * (4 + sc.cache.num_sets)
-        rows = [] if sc.record_trials else None
-        for trial in range(first, stop):
-            cache.reseed(sc.seed + trial)
-            active = _trial_active(cache.rng, sc.victim_access_probability)
-            cache.restore(snapshot)
-            detected, correct, value = protocol(cache, active)
-            if active and correct:
-                counts[0] += 1
-            elif detected:
-                counts[1] += 1
-            elif active:
-                counts[2] += 1
-            else:
-                counts[3] += 1
-            if value >= 0:
-                counts[4 + value] += 1
-            if rows is not None:
-                row = {"trial": trial, "active": active, "detected": detected}
-                if value_key is not None:
-                    row[value_key] = value
-                rows.append(row)
-        return counts, rows, cache.stats()
+        return _play_trials(sc, cache, snapshot, protocol, value_key, first, stop)
 
     (counts, rows, stats), *others = _run_shards(sc.trials, play, MIN_SHARD_TRIALS)
     for part_counts, part_rows, part_stats in others:
         counts = [a + b for a, b in zip(counts, part_counts)]
         if rows is not None:
             rows.extend(part_rows)
-        for d, row in part_stats.items():
-            total = stats.setdefault(d, dict.fromkeys(row, 0))
-            for key, value in row.items():
-                total[key] += value
+        _add_stats(stats, part_stats)
     tp, fp, fn, tn, *values = counts
     lo, hi = wilson_interval(tp + fp, sc.trials)
     report = DetectionReport(

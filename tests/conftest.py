@@ -3,7 +3,8 @@
 ``HYPOTHESIS_PROFILE=ci`` loads a wide profile for the oracle tests of
 the cache's group kernels and replay's batch loop (``-k oracle`` in
 tests/test_cache.py), of the chunked trace parser (``-k oracle`` in
-tests/test_trace.py) and for the CLI exit-code fuzz (``-k fuzz`` in
+tests/test_trace.py), of the attack trial memo (``-k oracle`` in
+tests/test_attacks.py) and for the CLI exit-code fuzz (``-k fuzz`` in
 tests/test_cli.py), which read their example budget from it; every
 other test sets its own.
 """

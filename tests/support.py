@@ -7,7 +7,8 @@ search, so the implementations under test are checked against routes
 they do not share code with.  The cache helpers read simulator state
 that the observation interface hides, and the probe-by-probe group
 fill and probe are the references for the cache's ``fill_group`` and
-``probe_group`` kernels.
+``probe_group`` kernels, and the trial loop that plays every trial is
+the reference for the attack driver's trial memo.
 """
 
 import dataclasses
@@ -209,6 +210,35 @@ def galois_pp_forced_trial(sc, way: int):
             dataclasses.replace(sc, trials=1, record_trials=True))
     # the runner builds the trial cache first, then the prefix's scratch cache
     return report.trial_rows[0], not trial_caches[0].rng.script
+
+
+def play_every_trial(sc, cache, snapshot, protocol, value_key, first, stop):
+    """Reference for ``attacks._play_trials``, with its signature and
+    results: every trial reseeds the cache, draws its coin, restores the
+    snapshot and plays the protocol, with no memo."""
+    counts = [0] * (4 + sc.cache.num_sets)
+    rows = [] if sc.record_trials else None
+    for trial in range(first, stop):
+        cache.reseed(sc.seed + trial)
+        active = attacks._trial_active(cache.rng, sc.victim_access_probability)
+        cache.restore(snapshot)
+        detected, correct, value = protocol(cache, active)
+        if active and correct:
+            counts[0] += 1
+        elif detected:
+            counts[1] += 1
+        elif active:
+            counts[2] += 1
+        else:
+            counts[3] += 1
+        if value >= 0:
+            counts[4 + value] += 1
+        if rows is not None:
+            row = {"trial": trial, "active": active, "detected": detected}
+            if value_key is not None:
+                row[value_key] = value
+            rows.append(row)
+    return counts, rows, cache.stats()
 
 
 def no_child_left():

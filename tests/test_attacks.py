@@ -9,8 +9,10 @@ import dataclasses
 import json
 import os
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from skewcache import (
     AttackScenario,
@@ -32,10 +34,16 @@ from skewcache import (
     wilson_interval,
 )
 from skewcache import attacks, shards, skew
-from skewcache.attacks import _run_trials
+from skewcache.attacks import KINDS, _run_trials
 from skewcache.cache import _BaseCache
 
-from support import domain_lines_in_set, galois_pp_forced_trial, line_at, no_child_left
+from support import (
+    domain_lines_in_set,
+    galois_pp_forced_trial,
+    line_at,
+    no_child_left,
+    play_every_trial,
+)
 
 GF4 = FieldSpec.binary(2)
 SP4 = SkewParams(GF4)
@@ -331,6 +339,7 @@ class TestCollusion:
 
         def protocol(cache, active):
             assert active
+            cache.rng.getrandbits(1)  # a draw, so the driver plays every trial
             detected, correct = next(outcomes)
             return detected, correct, -1
 
@@ -373,16 +382,59 @@ def _restore_only_empty(patch):
     patch.setattr(_BaseCache, "restore", checked)
 
 
-def _assert_equals_folded(monkeypatch, sc):
-    """The runner restores the prefix once per trial, and its report and
-    trial rows equal those of replaying the prefix in every trial."""
-    restores = []
-    restore = _BaseCache.restore
+def _counting(patch, tmp_path, name):
+    """Patch ``_BaseCache.<name>`` to append one byte to a file per call,
+    so that the calls of forked shards count too; returns a function
+    that reads the count."""
+    path = tmp_path / f"{name}-calls"
+    path.write_bytes(b"")
+    method = getattr(_BaseCache, name)
+
+    def counted(cache, *args):
+        with open(path, "ab") as fh:
+            fh.write(b".")
+        return method(cache, *args)
+
+    patch.setattr(_BaseCache, name, counted)
+    return lambda: path.stat().st_size
+
+
+def _draws(sc, active):
+    """Whether a trial of ``sc`` with this activity draws a random number.
+    Collusion's squeeze always evicts; galois-pp's victim fills a full
+    row and its idle probe hits everywhere; baseline's victim evicts
+    only under random replacement, when it shares the full primed set."""
+    if sc.kind == "collusion":
+        return True
+    if sc.kind == "galois_pp":
+        return active
+    primed = sc.adversary_prime_set
+    same_set = primed is None or primed == sc.victim_target_set
+    return active and same_set and sc.cache.replacement == "random"
+
+
+def _played(sc, rows, count):
+    """How many trials the driver plays over ``count`` shards, given the
+    trial rows: per shard, every trial that draws, and the first trial
+    of each activity that does not."""
+    bounds = [sc.trials * i // count for i in range(count + 1)]
+    played = 0
+    for first, stop in zip(bounds, bounds[1:]):
+        actives = [row["active"] for row in rows[first:stop]]
+        drawing = [_draws(sc, a) for a in actives]
+        played += sum(drawing) + len({a for a, d in zip(actives, drawing) if not d})
+    return played
+
+
+def _assert_equals_folded(monkeypatch, tmp_path, sc):
+    """The runner restores the prefix once per played trial, and its
+    report and trial rows equal those of replaying the prefix in every
+    trial."""
     with monkeypatch.context() as patch:
-        patch.setattr(_BaseCache, "restore",
-                      lambda cache, snap: (restores.append(1), restore(cache, snap)))
+        restores = _counting(patch, tmp_path, "restore")
         fast = run_scenario(sc)
-    assert len(restores) == sc.trials
+    count = shards._shard_count(sc.trials, attacks.MIN_SHARD_TRIALS)
+    assert restores() == _played(sc, fast.trial_rows, count)
     with monkeypatch.context() as patch:
         patch.setattr(attacks, "_run_trials", _folded)
         _restore_only_empty(patch)
@@ -402,14 +454,14 @@ class TestTrialPrefix:
         ("collusion", SkewParams(FieldSpec.prime(5))),
     ])
     @pytest.mark.parametrize("prob", [0.0, 0.5, 1.0])
-    def test_runner_equals_folded_prefix(self, monkeypatch, kind, sp, prob):
+    def test_runner_equals_folded_prefix(self, monkeypatch, tmp_path, kind, sp, prob):
         m = sp.field.order
         trials = 300 if kind == "galois_pp" else 120
         for seed in (3, 11):
             sc = dataclasses.replace(
                 default_scenario(kind, galois_config(sp), trials, seed, prob),
                 victim_target_set=seed % m, record_trials=True)
-            _assert_equals_folded(monkeypatch, sc)
+            _assert_equals_folded(monkeypatch, tmp_path, sc)
 
     @pytest.mark.parametrize("cfg", [
         conventional_config(4, 4, "lru"),
@@ -419,12 +471,13 @@ class TestTrialPrefix:
     ], ids=str)
     @pytest.mark.parametrize("prime_set", [1, 2])
     @pytest.mark.parametrize("prob", [0.0, 0.5, 1.0])
-    def test_baseline_equals_folded_prefix(self, monkeypatch, cfg, prime_set, prob):
+    def test_baseline_equals_folded_prefix(self, monkeypatch, tmp_path, cfg, prime_set,
+                                           prob):
         for seed in (3, 11):
             sc = baseline_scenario(cache=cfg, victim_target_set=1, adversary_prime_set=prime_set,
                                    victim_access_probability=prob, trials=300, seed=seed,
                                    record_trials=True)
-            report = _assert_equals_folded(monkeypatch, sc)
+            report = _assert_equals_folded(monkeypatch, tmp_path, sc)
             expected = report.true_positives + report.false_negatives if prime_set == 1 else 0
             assert report.true_positives + report.false_positives == expected
 
@@ -447,7 +500,7 @@ class TestTrialPrefix:
             _run_trials(sc, protocol, "scripted", prefix)
         assert len(plays) == 1  # the scratch run only
 
-    def test_lru_prefix_restored(self, monkeypatch):
+    def test_lru_prefix_restored(self, monkeypatch, tmp_path):
         sc = baseline_scenario(victim_access_probability=0.5, record_trials=True)
         cfg = sc.cache
         prime = [compose_address(cfg, 0, t) for t in range(4)]
@@ -464,16 +517,101 @@ class TestTrialPrefix:
             detected = not all(cache.probe_one(1, a) for a in prime)
             return detected, detected, -1
 
-        restores = []
-        restore = _BaseCache.restore
         with monkeypatch.context() as patch:
-            patch.setattr(_BaseCache, "restore",
-                          lambda cache, snap: (restores.append(1), restore(cache, snap)))
+            restores = _counting(patch, tmp_path, "restore")
             got, _ = _run_trials(sc, protocol, "scripted", prefix)
-        assert len(restores) == sc.trials
+        # the protocol draws nothing: one played trial per activity value
+        assert restores() == 2
         _restore_only_empty(monkeypatch)
         assert _outcome(got) == _outcome(_folded(sc, protocol, "scripted", prefix)[0])
         assert 0 < got.true_positives < sc.trials
+
+
+MEMO_CACHES = {
+    "baseline_pp": [conventional_config(4, 4, "lru"), conventional_config(4, 4, "random"),
+                    conventional_config(8, 2, "lru"), conventional_config(8, 2, "random")],
+    "galois_pp": [galois_config(SP4), galois_config(SkewParams(FieldSpec.prime(5)))],
+}
+MEMO_CACHES["collusion"] = MEMO_CACHES["galois_pp"]
+
+
+@st.composite
+def memo_scenarios(draw):
+    """A recorded scenario of any kind with a small cache, any victim
+    and primed set, and a coin probability of 0, 1/2, 1 or any other."""
+    kind = draw(st.sampled_from(KINDS))
+    cfg = draw(st.sampled_from(MEMO_CACHES[kind]))
+    sets = cfg.num_sets if kind == "baseline_pp" else cfg.skew.field.order
+    prob = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    sc = default_scenario(kind, cfg, draw(st.integers(0, 40)), draw(st.integers(0, 2**32)),
+                          prob, draw(st.integers(0, sets - 1)))
+    if kind != "collusion":
+        sc = dataclasses.replace(sc, adversary_prime_set=draw(st.integers(0, sets - 1)))
+    return dataclasses.replace(sc, record_trials=True)
+
+
+class TestTrialMemo:
+    @settings(max_examples=max(100, settings().max_examples), deadline=None)
+    @given(sc=memo_scenarios(), count=st.integers(1, 3))
+    # both activities memoized, the idle one only, and neither
+    @example(sc=baseline_scenario(trials=40, victim_access_probability=0.5,
+                                  record_trials=True), count=2)
+    @example(sc=dataclasses.replace(
+        default_scenario("galois_pp", galois_config(SP4), 40, 7, 0.5), record_trials=True),
+        count=2)
+    @example(sc=dataclasses.replace(
+        default_scenario("collusion", galois_config(SP4), 40, 7, 0.5), record_trials=True),
+        count=2)
+    def test_trial_memo_matches_every_trial_oracle(self, sc, count):
+        outcomes = []
+        with mock.patch.object(shards, "_shard_count", lambda work, min_work: count):
+            for play in (attacks._play_trials, play_every_trial):
+                with mock.patch.object(attacks, "_play_trials", play):
+                    outcomes.append(_outcome(run_scenario(sc)))
+        assert outcomes[0] == outcomes[1]
+        r = outcomes[0][0]
+        assert (r["true_positives"] + r["false_positives"] + r["false_negatives"]
+                + r["true_negatives"]) == sc.trials
+        no_child_left()
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_baseline_lru_plays_each_activity_once_a_shard(self, monkeypatch, tmp_path,
+                                                           count):
+        monkeypatch.setattr(shards, "_shard_count", lambda work, min_work: count)
+        sc = default_scenario("baseline_pp", conventional_config(64, 8, "lru"), 10_000,
+                              seed=3, victim_access_probability=0.5)
+        restores = _counting(monkeypatch, tmp_path, "restore")
+        reseeds = _counting(monkeypatch, tmp_path, "reseed")
+        report = run_scenario(sc)
+        assert restores() == 2 * count
+        assert reseeds() == sc.trials  # the coin's
+        assert 0 < report.true_positives < sc.trials
+        sc = dataclasses.replace(sc, victim_access_probability=1.0)
+        report = run_scenario(sc)
+        assert reseeds() == sc.trials + count  # no coin: only a played trial reseeds
+        assert report.true_positives == sc.trials
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_galois_pp_plays_every_active_trial(self, monkeypatch, tmp_path, count):
+        monkeypatch.setattr(shards, "_shard_count", lambda work, min_work: count)
+        sc = dataclasses.replace(
+            default_scenario("galois_pp", galois_config(SkewParams(FieldSpec.binary(4))),
+                             3000, seed=3, victim_access_probability=0.5),
+            record_trials=True)
+        restores = _counting(monkeypatch, tmp_path, "restore")
+        report = run_scenario(sc)
+        active = sum(row["active"] for row in report.trial_rows)
+        assert 0 < active < sc.trials
+        # one per active trial, and one idle trial a shard
+        assert restores() == active + count
+
+    def test_collusion_plays_every_trial(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(shards, "_shard_count", lambda work, min_work: 2)
+        sc = default_scenario("collusion", galois_config(SP4), 300, seed=3,
+                              victim_access_probability=0.5)
+        restores = _counting(monkeypatch, tmp_path, "restore")
+        run_scenario(sc)
+        assert restores() == sc.trials
 
 
 class TestSweepAndReportPlumbing:
@@ -615,6 +753,7 @@ class TestSharding:
         monkeypatch.setattr(_BaseCache, "reseed", spy)
 
         def protocol(cache, active):
+            cache.rng.getrandbits(1)  # a draw, so the driver plays every trial
             exc = fail(trial_of[cache])
             if exc is not None:
                 raise exc
