@@ -48,6 +48,7 @@ from .field import (
 from .skew import (
     SkewParams,
     VerificationReport,
+    domain_layout,
     permute,
     permute_all_ways,
     set_through_cell,

@@ -17,7 +17,8 @@ only in how those cells are laid out:
   address bits directly above the set index.  Row r is the galois row
   of set r % m, offset by (r // m)*m*m cells.
 
-Each row is laid out on first use, per domain for the skewed kinds.
+A domain's rows are laid out once per configuration, the skewed ones
+from ``skew.domain_layout``, and shared by every cache (``_domain_rows``).
 The physical set reported for flat cell index i is i // ways for every
 kind.
 
@@ -74,8 +75,10 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 from .field import MAX_CELLS
-from .skew import SkewParams, permute_all_ways
+from .skew import SkewParams, _way_bijective, domain_layout
 
 KINDS = ("galois", "conventional", "stacked-galois")
 
@@ -240,16 +243,46 @@ def compose_address(
     return block << cfg.line_offset_bits
 
 
+# layout key -> (rows, disjoint); starts over past MAX_CELLS cells of rows
+_LAYOUTS: dict[tuple, tuple[tuple, bool]] = {}
+_layout_cells = 0
+
+
+def _domain_rows(cfg: CacheConfig, domain: int) -> tuple[tuple, bool]:
+    """After the domain's range check, its rows (each row's candidate
+    cells) and whether no two share a cell, memoized on what the layout
+    reads.  Stacked instances repeat the slice's rows, m*m cells apart,
+    so the slice's per-way bijection decides the latter."""
+    global _layout_cells
+    m = cfg.num_domains
+    if m is None and domain < 0:
+        raise ValueError(f"domain id {domain} is negative")
+    if m is not None and not 0 <= domain < m:
+        raise ValueError(f"domain id {domain} out of range for {m} domains")
+    key = (cfg.num_sets, cfg.num_ways) if m is None else (cfg.skew, cfg.num_instances, domain)
+    entry = _LAYOUTS.get(key)
+    if entry is None:
+        # (set, way) -> physical set; a conventional set s is s in every way
+        physical = (np.arange(cfg.num_sets)[:, None] if m is None
+                    else domain_layout(cfg.skew, domain).astype(np.intp))
+        sets, ways = cfg.num_sets, cfg.num_ways
+        rows = (np.arange(cfg.num_instances)[:, None, None] * (sets * ways)
+                + physical * ways + np.arange(ways)).reshape(-1, ways)
+        if _layout_cells + rows.size > MAX_CELLS:
+            _LAYOUTS.clear()
+            _layout_cells = 0
+        _layout_cells += rows.size
+        entry = _LAYOUTS[key] = (tuple(map(tuple, rows.tolist())),
+                                 bool(_way_bijective(physical).all()))
+    return entry
+
+
 class _BaseCache:
     """The lookup core every cache kind runs on.
 
     One flat cell array, one random stream, one per-domain stats table
-    and one scan/fill/evict loop (``_access_line``).  A kind supplies
-    only the layout of a candidate row: ``_layout(domain, row)`` gives
-    the flat cell index of each way, and ``_row_table(domain)`` the
-    table that caches laid-out rows for a domain.  The defaults here are
-    the skewed layout shared by ``galois`` and ``stacked-galois``: one
-    table per domain, each row laid out on first use.
+    and one scan/fill/evict loop (``_access_line``).  The kinds differ
+    only in their rows (``_domain_rows``).
     """
 
     def __init__(self, cfg: CacheConfig, seed: int = 0):
@@ -260,47 +293,23 @@ class _BaseCache:
         self._span = cfg.num_sets * cfg.num_instances  # rows per domain
         self._lru = cfg.replacement == "lru"
         self._stats: dict[int, list[int]] = {}
-        self._rows: dict[int, list[Optional[tuple[int, ...]]]] = {}
+        self._rows: dict[int, tuple] = {}  # domain -> its row table
         self._cells: list[Optional[tuple]] = [None] * (self._span * self._ways)
         # LRU stamps exist only under LRU replacement
         self._stamps = [0] * len(self._cells) if self._lru else None
         self._clock = 0
-        self._disjoint: dict[int, bool] = {}
         self._groups: dict[tuple, _Group] = {}
 
-    def _row_table(self, domain: int) -> list[Optional[tuple[int, ...]]]:
-        """An empty row table for a domain's first access."""
-        m = self.cfg.num_domains
-        if not 0 <= domain < m:
-            raise ValueError(f"domain id {domain} out of range for {m} domains")
-        return [None] * self._span
-
-    def _layout(self, domain: int, row: int) -> tuple[int, ...]:
-        m = self._ways
-        base = (row // m) * m * m
-        return tuple(base + p * m + w
-                     for w, p in enumerate(permute_all_ways(self.cfg.skew, domain, row % m)))
-
-    def _row(self, domain: int, row: int) -> tuple[int, ...]:
-        """Candidate cells of a domain's row, laid out on first use."""
+    def _rows_of(self, domain: int) -> tuple:
+        """The domain's row table: candidate cells per row index."""
         rows = self._rows.get(domain)
         if rows is None:
-            rows = self._rows[domain] = self._row_table(domain)
-        cand = rows[row]
-        if cand is None:
-            cand = rows[row] = self._layout(domain, row)
-        return cand
+            rows = self._rows[domain] = _domain_rows(self.cfg, domain)[0]
+        return rows
 
     def _rows_disjoint(self, domain: int) -> bool:
-        """Whether no two rows of the domain share a cell, checked once
-        per domain.  Rows past the first m are offset copies of those
-        (stacked instances), so m rows decide it."""
-        disjoint = self._disjoint.get(domain)
-        if disjoint is None:
-            m = self._ways
-            cells = {idx for s in range(m) for idx in self._row(domain, s)}
-            disjoint = self._disjoint[domain] = len(cells) == m * m
-        return disjoint
+        """Whether no two rows of the domain share a cell."""
+        return _domain_rows(self.cfg, domain)[1]
 
     def stats(self) -> dict[int, dict[str, int]]:
         return {
@@ -312,9 +321,6 @@ class _BaseCache:
             }
             for d, row in sorted(self._stats.items())
         }
-
-    def reset_stats(self) -> None:
-        self._stats.clear()
 
     def reseed(self, seed: int) -> None:
         self.rng.seed(seed)
@@ -366,10 +372,7 @@ class _BaseCache:
 
     def _access_line(self, domain: int, row: int, tag: int):
         """Core lookup: returns (hit, flat cell index, way, evicted line)."""
-        rows = self._rows.get(domain)
-        cand = rows[row] if rows is not None else None
-        if cand is None:
-            cand = self._row(domain, row)
+        cand = (self._rows.get(domain) or self._rows_of(domain))[row]
         stats = self._stats.get(domain)
         if stats is None:
             stats = self._stats[domain] = [0, 0, 0, 0]
@@ -437,8 +440,8 @@ class _BaseCache:
         held: list[Optional[tuple]] = [None] * len(cells)
         for d in {cell[0] for cell in cells if cell is not None}:
             if self._rows_disjoint(d):
-                for r in range(span):
-                    for idx in self._row(d, r):
+                for r, cand in enumerate(self._rows_of(d)):
+                    for idx in cand:
                         cell = cells[idx]
                         if cell is not None and cell[0] == d:
                             key = held[idx] = (d, cell[1] * span + r)
@@ -465,15 +468,11 @@ class _BaseCache:
                     raise ValueError("addresses are unsigned")
                 mine = seen.get(domain)
                 if mine is None:
-                    rows = self._rows.get(domain)
-                    if rows is None:
-                        rows = self._rows[domain] = self._row_table(domain)
+                    rows = self._rows_of(domain)
                     if not self._rows_disjoint(domain):
                         return rec
-                    stats = self._stats.get(domain)
-                    if stats is None:
-                        stats = self._stats[domain] = [0, 0, 0, 0]
-                    mine = seen[domain] = (rows, stats, ops.setdefault(domain, [0, 0]))
+                    mine = seen[domain] = (rows, self._stats.setdefault(domain, [0, 0, 0, 0]),
+                                           ops.setdefault(domain, [0, 0]))
                 rows, stats, counts = mine
                 counts[op != "R"] += 1
                 block = addr >> off
@@ -486,10 +485,7 @@ class _BaseCache:
                         stamps[idx] = clock
                     continue
                 stats[1] += 1
-                row = block % span
-                cand = rows[row]
-                if cand is None:
-                    cand = self._row(domain, row)
+                cand = rows[block % span]
                 if free:
                     for i in cand:
                         if cells[i] is None:
@@ -570,7 +566,7 @@ class _BaseCache:
         slot_of: dict[int, int] = {}
         rows, keys, cands, slots = [], [], [], []
         for j, (row, tag) in enumerate(lines):
-            cand = self._row(domain, row)
+            cand = self._rows_of(domain)[row]
             if row not in slot_of:
                 slot_of[row] = len(rows)
                 rows.append((cand, {}))
@@ -718,21 +714,6 @@ class ConventionalCache(_BaseCache):
     Set s is the cells s * ways + w; the layout ignores the domain, so
     every domain shares one row table.
     """
-
-    def __init__(self, cfg: CacheConfig, seed: int = 0):
-        super().__init__(cfg, seed)
-        self._shared_rows: list[Optional[tuple[int, ...]]] = [None] * self._span
-
-    def _row_table(self, domain: int) -> list[Optional[tuple[int, ...]]]:
-        if domain < 0:
-            raise ValueError(f"domain id {domain} is negative")
-        return self._shared_rows
-
-    def _layout(self, domain: int, row: int) -> tuple[int, ...]:
-        return tuple(range(row * self._ways, (row + 1) * self._ways))
-
-    def _rows_disjoint(self, domain: int) -> bool:
-        return True
 
 
 class StackedGaloisCache(_BaseCache):

@@ -15,6 +15,8 @@ here rather than assumed:
 
 The b*t products are precomputed per domain at construction, mirroring
 how a hardware register file would hold them off the lookup path.
+The verifiers check layout_table, the stack of every domain's
+domain_layout slice, which the cache models lay their rows out from.
 
 Verifiers return a report object instead of raising so callers (and the
 deliberately-broken negative-control tests) can inspect violations.
@@ -116,26 +118,39 @@ class VerificationReport:
 
 
 @lru_cache(maxsize=16)
-def layout_table(sp: SkewParams) -> np.ndarray:
-    """Dense (domain, set, way) -> physical set table.
+def _layout_terms(sp: SkewParams) -> tuple[np.ndarray, np.ndarray]:
+    """The base vector s -> a*s + c and the field's addition table."""
+    f, m = sp.field, sp.field.order
+    base = np.array([f.add(f.mul(sp.a, s), sp.c) for s in range(m)], dtype=np.intp)
+    return base, np.array([[f.add(x, y) for y in range(m)] for x in range(m)], dtype=np.int16)
 
-    Entry (t, s, w) is permute_all_ways(sp, t, s)[w], assembled from
-    O(m^2) field calls: the base vector a*s + c, the (b*t)*w products
-    and the addition table, combined by a numpy gather.  Only the
-    FieldSpec's own operations are used, so a subclass that overrides
-    them is honoured.  Entries are int16: MAX_CELLS caps m at 256.
+
+def domain_layout(sp: SkewParams, t: int) -> np.ndarray:
+    """Domain t's (set, way) -> physical set slice of the layout, int16.
+
+    Entry (s, w) is permute_all_ways(sp, t, s)[w]: the memoized addition
+    table gathered at the base vector and this domain's (b*t)*w products,
+    so a domain costs m field calls, all the FieldSpec's own (a subclass
+    that overrides them is honoured).  Its m^2 cells have no m^3 cap.
     """
-    f = sp.field
-    m = f.order
+    f, m = sp.field, sp.field.order
+    f.check(t)
+    if m * m > MAX_CELLS:
+        raise ValueError(f"layout slice of {m}^2 cells exceeds {MAX_CELLS}")
+    base, add = _layout_terms(sp)
+    return add[base[:, None], np.array([f.mul(sp.bt_cache[t], w) for w in range(m)])]
+
+
+@lru_cache(maxsize=16)
+def layout_table(sp: SkewParams) -> np.ndarray:
+    """Dense (domain, set, way) -> physical set table: entry t is
+    domain_layout(sp, t).  Entries are int16: MAX_CELLS caps m at 256."""
+    m = sp.field.order
     if m ** 3 > MAX_CELLS:
         raise ValueError(f"layout table of {m}^3 cells exceeds {MAX_CELLS}")
-    base = np.array([f.add(f.mul(sp.a, s), sp.c) for s in range(m)], dtype=np.intp)
-    shift = np.array([[f.mul(bt, w) for w in range(m)] for bt in sp.bt_cache],
-                     dtype=np.intp)
-    add = np.array([[f.add(x, y) for y in range(m)] for x in range(m)], dtype=np.int16)
     table = np.empty((m, m, m), dtype=np.int16)
     for t in range(m):
-        table[t] = add[base[:, None], shift[t][None, :]]
+        table[t] = domain_layout(sp, t)
     return table
 
 
@@ -146,10 +161,12 @@ def _difference_table(f: FieldSpec) -> np.ndarray:
     )
 
 
-def _way_bijective(table: np.ndarray) -> np.ndarray:
-    """(domain, way) -> whether s -> physical set is a permutation."""
-    sets = np.arange(table.shape[0])[:, None]
-    return np.array([(np.sort(rows, axis=0) == sets).all(axis=0) for rows in table])
+def _way_bijective(rows: np.ndarray) -> np.ndarray:
+    """Per way of one domain's (set, way) slice: whether s -> physical
+    set is a permutation.  It sorts: np.unique's first call in a process
+    costs milliseconds."""
+    sets = np.arange(rows.shape[0])[:, None]
+    return (np.sort(rows, axis=0) == sets).all(axis=0)
 
 
 def _predictor(sp: SkewParams) -> tuple[np.ndarray, np.ndarray]:
@@ -268,7 +285,7 @@ def verify_diagonalization(sp: SkewParams) -> VerificationReport:
     """
     m = sp.field.order
     table = layout_table(sp)
-    if not _way_bijective(table).all():
+    if not all(_way_bijective(rows).all() for rows in table):
         return _verify_diagonalization_direct(sp)
     diff = _difference_table(sp.field)
     deltas, pred = _predictor(sp)
@@ -306,10 +323,9 @@ def verify_diagonalization(sp: SkewParams) -> VerificationReport:
 
 def verify_way_bijection(sp: SkewParams) -> VerificationReport:
     """Check that s -> physical set is a permutation for every (domain, way)."""
-    m = sp.field.order
-    ok = _way_bijective(layout_table(sp))
+    ok = np.array([_way_bijective(rows) for rows in layout_table(sp)])
     violations = [
         {"kind": "not-bijective", "t": int(t), "w": int(w)}
         for t, w in np.argwhere(~ok)
     ]
-    return VerificationReport(checked=m * m, violations=violations)
+    return VerificationReport(checked=ok.size, violations=violations)

@@ -1,6 +1,7 @@
 """Hypothesis profiles.
 
 ``HYPOTHESIS_PROFILE=ci`` loads a wide profile for the oracle tests of
+the per-domain layout slice (``-k oracle`` in tests/test_skew.py), of
 the cache's group kernels and replay's batch loop (``-k oracle`` in
 tests/test_cache.py), of the chunked trace parser (``-k oracle`` in
 tests/test_trace.py), of the attack trial memo (``-k oracle`` in

@@ -142,7 +142,7 @@ def line_at(cache, physical_set: int, way: int):
 def domain_lines_in_set(cache, domain: int, set_index: int) -> int:
     """How many candidate cells of (domain, set) hold that domain's lines."""
     count = 0
-    for idx in cache._row(domain, set_index):
+    for idx in cache._rows_of(domain)[set_index]:
         cell = cache._cells[idx]
         if cell is not None and cell[0] == domain:
             count += 1

@@ -1,6 +1,7 @@
 """Cache model behaviour: address split, lookup, replacement, isolation."""
 
 import random
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -21,7 +22,7 @@ from skewcache import (
 )
 from skewcache.cache import KINDS
 from skewcache.field import MAX_CELLS
-from skewcache.skew import verify_way_bijection
+from skewcache.skew import layout_table, verify_way_bijection
 
 from support import (
     BrokenModularRing,
@@ -263,13 +264,15 @@ class TestFlushAndDeterminism:
         cache.flush()  # idempotent
         assert line_at(cache, 0, 0) is None
 
-    def test_flush_keeps_stats_unless_asked(self):
+    def test_flush_keeps_stats(self):
         cache = gf4_cache()
-        cache.access(0, 0x40)
-        cache.flush()
-        assert cache.stats()[0]["misses"] == 1
-        cache.reset_stats()
         assert cache.stats() == {}
+        cache.access(0, 0x40)
+        before = cache.stats()
+        cache.flush()
+        assert cache.stats() == before and before[0]["misses"] == 1
+        cache.access(0, 0x40)  # the flush dropped the line: the stats count on
+        assert cache.stats()[0]["misses"] == 2
 
     def test_flush_preserves_rng_position(self):
         seed = 11
@@ -738,6 +741,26 @@ class TestReplay:
                       for d, _, _ in records[:played])
         assert len(handoffs) == handoff
 
+    def test_gf257_play_matches_access_oracle(self):
+        """A galois cache past layout_table's m^3 cap lays its rows out
+        from the m^2 layout slice: a mixed stream over three domains,
+        one of which overfills a row, plays as an access per record."""
+        sp = SkewParams(FieldSpec.prime(257), a=3, b=5, c=7)
+        with pytest.raises(ValueError, match="exceeds"):
+            layout_table(sp)
+        cfg = galois_config(sp)
+        rng = random.Random(257)
+        records = [(0, "RW"[t % 2], _addr(cfg, 0, t)) for t in range(300)]
+        records += [(rng.choice((0, 1, 200)), rng.choice("RW"),
+                     _addr(cfg, rng.choice((0, 1, 256)), rng.randrange(400)))
+                    for _ in range(1500)]
+        player, oracle = (build_cache(cfg, 3) for _ in range(2))
+        expected = {}
+        assert _access_each(oracle, records, expected) is None
+        assert replay(player, iter(records)) == expected
+        assert _cache_state(player) == _cache_state(oracle)
+        assert player.stats()[0]["self_evictions"]
+
     def test_unindexed_line_example_evicts(self):
         player = _replay_caches(EVICTS_UNINDEXED_LINE)[0]
         handoffs = _claim_overlap(player, 1)
@@ -792,6 +815,56 @@ class TestRowsDisjoint:
         assert cache._rows_disjoint(0) and cache._rows_disjoint(7)
 
 
+class _CountingField(FieldSpec):
+    """A field that counts each call of its arithmetic."""
+
+    calls = Counter()
+
+    def check(self, *xs):
+        _CountingField.calls["check"] += 1
+        return super().check(*xs)
+
+    def add(self, x, y):
+        _CountingField.calls["add"] += 1
+        return super().add(x, y)
+
+    def sub(self, x, y):
+        _CountingField.calls["sub"] += 1
+        return super().sub(x, y)
+
+    def mul(self, x, y):
+        _CountingField.calls["mul"] += 1
+        return super().mul(x, y)
+
+    def inv(self, x):
+        _CountingField.calls["inv"] += 1
+        return super().inv(x)
+
+
+class TestSharedRows:
+    """A domain's rows are laid out once per configuration."""
+
+    @pytest.mark.parametrize("stack_bits", [0, 1])
+    def test_second_cache_makes_no_field_call(self, stack_bits):
+        sp = SkewParams(_CountingField.binary(3), a=3, b=5, c=6)
+        cfg = stacked_config(sp, stack_bits) if stack_bits else galois_config(sp)
+        domains = (0, 5, 7)
+        records = [(d, "RW"[t % 2], _addr(cfg, r, t))
+                   for t in range(10) for r in (0, 3, 8 * stack_bits + 6) for d in domains]
+        calls = _CountingField.calls
+        calls.clear()
+        first = build_cache(cfg, 1)
+        replay(first, iter(records))
+        assert calls["mul"]  # the first cache laid its domains out
+        calls.clear()
+        second = build_cache(cfg, 2)
+        replay(second, iter(records))
+        assert not calls
+        assert sorted(second._rows) == sorted(first._rows) == list(domains)
+        for d in domains:
+            assert second._rows[d] is first._rows[d]
+
+
 class TestSnapshot:
     def test_restore_after_flush_equals_replay(self):
         cfg = galois_config(SP4)
@@ -836,11 +909,14 @@ class TestSnapshot:
         scratch = run_to(warm)
         scratch.flush()
         assert scratch._clock == 0
-        scratch.reset_stats()  # a snapshot carries every stat so far
+        # a snapshot carries every stat so far: the replayed cache takes
+        # the warm-up's from the flushed scratch cache, an empty snapshot
+        flushed = scratch.snapshot()
+        assert not flushed.lines and not flushed.stamps and flushed.clock == 0
         play(scratch, steps)
         snap = scratch.snapshot()
         replayed, restored = run_to(warm + extra), run_to(warm + extra)
-        replayed.flush()
+        replayed.restore(flushed)
         play(replayed, steps)
         restored.restore(snap)
         assert _cache_state(restored) == _cache_state(replayed)

@@ -5,10 +5,13 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from skewcache import (
     FieldSpec,
     SkewParams,
+    domain_layout,
     permute,
     permute_all_ways,
     set_through_cell,
@@ -183,6 +186,11 @@ class TestVerifiers:
         for check in (layout_table, verify_diagonalization, verify_way_bijection):
             with pytest.raises(ValueError, match="exceeds"):
                 check(sp)
+        # one domain's m^2 slice is capped only past a galois cache's largest order
+        assert domain_layout(sp, 256).shape == (257, 257)
+        assert 4099 ** 2 > MAX_CELLS >= 4096 ** 2
+        with pytest.raises(ValueError, match="layout slice of 4099"):
+            domain_layout(SkewParams(FieldSpec.prime(4099)), 0)
 
     def test_negative_control_mod_ring(self):
         broken = BrokenModularRing(p=2, n=2, modulus=0b111)
@@ -294,6 +302,35 @@ def test_layout_table_matches_permute(sp):
         for s in range(m):
             for w in range(m):
                 assert table[t, s, w] == permute(sp, t, s, w)
+
+
+_RING = BrokenModularRing(p=2, n=2, modulus=0b111)
+
+
+@st.composite
+def skew_params(draw):
+    """Random constants over a field of order up to 16, or the mod-4 ring."""
+    f = draw(st.sampled_from(small_fields(16) + [_RING]))
+    m = f.order
+    return SkewParams(f, a=draw(st.integers(1, m - 1)), b=draw(st.integers(1, m - 1)),
+                      c=draw(st.integers(0, m - 1)))
+
+
+@settings(max_examples=max(100, settings().max_examples), deadline=None)
+@given(sp=skew_params())
+@example(sp=SkewParams(FieldSpec.binary(3), a=3, b=5, c=6))
+@example(sp=SkewParams(_RING, a=2))
+def test_domain_layout_matches_permute_oracle(sp):
+    """Each domain's slice against permute_all_ways, row by row, and
+    layout_table against the slices it stacks."""
+    m = sp.field.order
+    table = layout_table(sp)
+    for t in range(m):
+        rows = domain_layout(sp, t)
+        assert rows.shape == (m, m)
+        for s in range(m):
+            assert tuple(rows[s].tolist()) == permute_all_ways(sp, t, s)
+        assert (table[t] == rows).all()
 
 
 class TestShardedVerifier:
