@@ -23,16 +23,17 @@ in every trial.  The driver plays the prefix once on a scratch cache,
 refusing it if the random stream moved, and every trial ``restore``s
 that snapshot, which flushes the cache, instead of replaying the steps.
 
-A whole trial that draws no random number is played once as well.
+A trial is played once per shard for each path of draws it takes.
 Every trial starts from that one snapshot, and a protocol may be
-steered only by the cache and the victim's activity, so such a trial
-ends the same way, with the same stats, as every trial with its
-activity value.  Each shard plays the first trial of each value; if it
-drew nothing (``rng.getstate()`` unchanged), later trials with that
-value only draw their coin and count its outcome, and the shard adds
-its stats delta once per trial.  Baseline prime-probe under LRU draws
-in no trial, galois-pp only when the victim is active (its fill evicts
-at random), collusion in every trial (its squeeze evicts at random).
+steered only by the cache and the victim's activity, so a trial's
+outcome and stats delta follow from its activity and the residues of
+its draws, each ``getrandbits(64) % ways``.  Each shard keeps, per
+activity value, a tree keyed by those residues, whose leaves hold an
+outcome, a stats delta and a reuse count.  Baseline prime-probe under
+LRU draws in no trial (a leaf at the root), galois-pp once or twice
+when the victim is active (its fill, and the refill of its probe's
+miss, evict at random: at most 2m - 1 paths), collusion 150 or more
+times (its squeeze), past the depth cap, so it is played in every trial.
 
 The probes and collusion's squeeze are groups of one domain's lines,
 which the cache runs through its row-local kernel: each row is scanned
@@ -90,6 +91,8 @@ _TARGET_TAG = 0x2FFFF
 #: (galois-pp, n=2) ran at 20 us a trial, so 256 trials (5 ms) outweigh
 #: the cost of the shard that runs them.
 MIN_SHARD_TRIALS = 256
+
+_MEMO_DEPTH = 4  # the longest draw path the trial memo keeps
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -240,41 +243,68 @@ def _play_trials(sc: AttackScenario, cache, snapshot, protocol, value_key: Optio
     the counts (tp, fp, fn, tn, then the count of each value), the trial
     rows (None unless recorded) and the domain stats.
 
-    The first trial of each activity value is played in full.  If its
-    protocol drew no random number, the value's outcome and stats delta
-    are kept, and a later trial with that value only draws its coin
-    (nothing at all when the probability is 0 or 1) and reuses them; the
-    stats delta is added once per reuse at the end.  A value whose first
-    trial drew is played in every trial.
+    A trial draws its coin, walks its value's tree (module docstring) one
+    ``getrandbits(64) % ways`` a node and counts the leaf it reaches; a
+    leaf's stats delta is added once per reuse at the end.  Off the tree,
+    it reseeds and plays with its draws recorded, and adds their path
+    unless the stream moved by more, the path is past ``_MEMO_DEPTH`` or
+    the shard holds ways² leaves: then the value is played from then on.
     """
     p = sc.victim_access_probability
     coin_draws = 0.0 < p < 1.0
+    ways = sc.cache.num_ways
     counts = [0] * (4 + sc.cache.num_sets)
     rows = [] if sc.record_trials else None
-    # activity -> [outcome, stats delta, reuses], or None once it drew
-    memo: dict[bool, Optional[list]] = {}
+    # activity -> its tree: a leaf [outcome, stats delta, reuses], a dict
+    # from draw % ways to subtrees, or None once the value is played
+    memo: dict = {}
+    leaves: list[list] = []
     for trial in range(first, stop):
         if coin_draws:
             cache.reseed(sc.seed + trial)
         active = _trial_active(cache.rng, p)
-        entry = memo.get(active)
-        if entry:
-            entry[2] += 1
-            detected, correct, value = entry[0]
-        else:
-            if not coin_draws:
+        node = memo.get(active, ())
+        if type(node) is not list and not coin_draws:
+            cache.reseed(sc.seed + trial)
+        if type(node) is dict:
+            draw = cache.rng.getrandbits
+            while type(node) is dict:
+                node = node.get(draw(64) % ways, ())
+            if type(node) is tuple:  # off the tree: rewind to just past the coin
                 cache.reseed(sc.seed + trial)
-            unseen = active not in memo
-            if unseen:
-                state, before = cache.rng.getstate(), cache.stats()
+                _trial_active(cache.rng, p)
+        if type(node) is list:
+            node[2] += 1
+            detected, correct, value = node[0]
+        elif node is None:
             cache.restore(snapshot)
             detected, correct, value = protocol(cache, active)
-            if unseen:
+        else:  # a new path: play it with its draws recorded
+            before, drawn, real = cache.stats(), [], cache.rng.getrandbits
+
+            def record(k):
+                bits = real(k)
+                drawn.append(bits % ways if k == 64 else -1)
+                return bits
+
+            cache.rng.getrandbits = record
+            cache.restore(snapshot)
+            detected, correct, value = protocol(cache, active)
+            del cache.rng.getrandbits
+            ref = random.Random(sc.seed + trial)
+            _trial_active(ref, p)
+            ref.getrandbits(64 * len(drawn))  # as far as len(drawn) 64-bit draws
+            if (-1 in drawn or len(drawn) > _MEMO_DEPTH or len(leaves) >= ways * ways
+                    or ref.getstate() != cache.rng.getstate()):
                 memo[active] = None
-                if cache.rng.getstate() == state:
-                    delta = cache.stats()
-                    _add_stats(delta, before, -1)
-                    memo[active] = [(detected, correct, value), delta, 0]
+            else:
+                delta = cache.stats()
+                _add_stats(delta, before, -1)
+                leaves.append([(detected, correct, value), delta, 0])
+                tree, key = memo, active
+                for residue in drawn:
+                    tree, key = tree.setdefault(key, {}), residue
+                tree[key] = leaves[-1]
         if active and correct:
             counts[0] += 1
         elif detected:
@@ -291,9 +321,8 @@ def _play_trials(sc: AttackScenario, cache, snapshot, protocol, value_key: Optio
                 row[value_key] = value
             rows.append(row)
     stats = cache.stats()
-    for entry in memo.values():
-        if entry:
-            _add_stats(stats, entry[1], entry[2])
+    for _, delta, reuses in leaves:
+        _add_stats(stats, delta, reuses)
     return counts, rows, stats
 
 
@@ -314,11 +343,12 @@ def _run_trials(sc: AttackScenario, protocol, definition: str, prefix,
 
     A protocol must be steered by nothing but the cache (its cells, LRU
     stamps and clock, and random stream) and ``active``: no state of its
-    own, no trial index, no outside input.  Every trial starts from the
-    same restored snapshot, so a trial that draws no random number has
-    the same outcome and stats delta as every other trial with its
-    ``active``, and ``_play_trials`` plays it once per shard and counts
-    the rest.
+    own, no trial index, no outside input.  It may draw only through the
+    cache, whose draws are each ``getrandbits(64) % ways`` (in
+    ``_access_line``, ``_play_group`` and ``_play_indexed``).  Every trial
+    starts from the same restored snapshot, so trials with the same
+    ``active`` and draw residues have the same outcome and stats delta,
+    and ``_play_trials`` plays each such path once per shard.
     """
     cache = build_cache(sc.cache, sc.seed)
     snapshot = _prefix_snapshot(sc, prefix)

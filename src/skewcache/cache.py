@@ -17,8 +17,9 @@ only in how those cells are laid out:
   address bits directly above the set index.  Row r is the galois row
   of set r % m, offset by (r // m)*m*m cells.
 
-A domain's rows are laid out once per configuration, the skewed ones
-from ``skew.domain_layout``, and shared by every cache (``_domain_rows``).
+A domain's row table is kept once per configuration and shared by every
+cache (``_domain_rows``); it lays out a row when the row is first read,
+a skewed one from the domain's ``skew.domain_layout`` slice.
 The physical set reported for flat cell index i is i // ways for every
 kind.
 
@@ -243,16 +244,40 @@ def compose_address(
     return block << cfg.line_offset_bits
 
 
-# layout key -> (rows, disjoint); starts over past MAX_CELLS cells of rows
-_LAYOUTS: dict[tuple, tuple[tuple, bool]] = {}
+class _Rows(dict):
+    """A domain's row table, row index -> its candidate cells, each row
+    laid out when first read: a conventional row from arithmetic, a
+    skewed one from the domain's (set, way) -> physical set slice."""
+
+    def __init__(self, ways: int, physical: Optional[np.ndarray] = None):
+        super().__init__()
+        self.ways, self.physical = ways, physical
+
+    def __missing__(self, row: int) -> tuple:
+        global _layout_cells
+        ways, physical = self.ways, self.physical
+        if physical is None:  # a conventional set s is s in every way
+            cand = tuple(range(row * ways, (row + 1) * ways))
+        else:  # stacked instances repeat the slice, m*m cells apart
+            instance, s = divmod(row, len(physical))
+            base = instance * len(physical) * ways
+            cand = tuple(base + p * ways + w for w, p in enumerate(physical[s].tolist()))
+        _layout_cells += ways
+        self[row] = cand
+        return cand
+
+
+# layout key -> (row table, disjoint); starts over once the slices kept
+# and the rows laid out pass MAX_CELLS cells
+_LAYOUTS: dict[tuple, tuple[_Rows, bool]] = {}
 _layout_cells = 0
 
 
-def _domain_rows(cfg: CacheConfig, domain: int) -> tuple[tuple, bool]:
-    """After the domain's range check, its rows (each row's candidate
-    cells) and whether no two share a cell, memoized on what the layout
-    reads.  Stacked instances repeat the slice's rows, m*m cells apart,
-    so the slice's per-way bijection decides the latter."""
+def _domain_rows(cfg: CacheConfig, domain: int) -> tuple[_Rows, bool]:
+    """After the domain's range check, its row table and whether no two
+    rows share a cell, memoized on what the layout reads.  A conventional
+    domain's rows never share one; a skewed domain's share none when its
+    slice is a per-way bijection, which stacked instances repeat."""
     global _layout_cells
     m = cfg.num_domains
     if m is None and domain < 0:
@@ -262,18 +287,16 @@ def _domain_rows(cfg: CacheConfig, domain: int) -> tuple[tuple, bool]:
     key = (cfg.num_sets, cfg.num_ways) if m is None else (cfg.skew, cfg.num_instances, domain)
     entry = _LAYOUTS.get(key)
     if entry is None:
-        # (set, way) -> physical set; a conventional set s is s in every way
-        physical = (np.arange(cfg.num_sets)[:, None] if m is None
-                    else domain_layout(cfg.skew, domain).astype(np.intp))
-        sets, ways = cfg.num_sets, cfg.num_ways
-        rows = (np.arange(cfg.num_instances)[:, None, None] * (sets * ways)
-                + physical * ways + np.arange(ways)).reshape(-1, ways)
-        if _layout_cells + rows.size > MAX_CELLS:
+        if _layout_cells > MAX_CELLS:
             _LAYOUTS.clear()
             _layout_cells = 0
-        _layout_cells += rows.size
-        entry = _LAYOUTS[key] = (tuple(map(tuple, rows.tolist())),
-                                 bool(_way_bijective(physical).all()))
+        if m is None:
+            entry = (_Rows(cfg.num_ways), True)
+        else:
+            physical = domain_layout(cfg.skew, domain)
+            _layout_cells += physical.size
+            entry = (_Rows(cfg.num_ways, physical), bool(_way_bijective(physical).all()))
+        _LAYOUTS[key] = entry
     return entry
 
 
@@ -293,14 +316,14 @@ class _BaseCache:
         self._span = cfg.num_sets * cfg.num_instances  # rows per domain
         self._lru = cfg.replacement == "lru"
         self._stats: dict[int, list[int]] = {}
-        self._rows: dict[int, tuple] = {}  # domain -> its row table
+        self._rows: dict[int, dict] = {}  # domain -> its row table
         self._cells: list[Optional[tuple]] = [None] * (self._span * self._ways)
         # LRU stamps exist only under LRU replacement
         self._stamps = [0] * len(self._cells) if self._lru else None
         self._clock = 0
         self._groups: dict[tuple, _Group] = {}
 
-    def _rows_of(self, domain: int) -> tuple:
+    def _rows_of(self, domain: int) -> dict:
         """The domain's row table: candidate cells per row index."""
         rows = self._rows.get(domain)
         if rows is None:
@@ -440,8 +463,9 @@ class _BaseCache:
         held: list[Optional[tuple]] = [None] * len(cells)
         for d in {cell[0] for cell in cells if cell is not None}:
             if self._rows_disjoint(d):
-                for r, cand in enumerate(self._rows_of(d)):
-                    for idx in cand:
+                rows = self._rows_of(d)
+                for r in range(span):
+                    for idx in rows[r]:
                         cell = cells[idx]
                         if cell is not None and cell[0] == d:
                             key = held[idx] = (d, cell[1] * span + r)

@@ -18,10 +18,9 @@ Two callers share the runner:
   trial rows in trial order: each trial reseeds itself and restores its
   prefix into a flushed cache, whose LRU clock restarts at 0, and the
   cache holds nothing yet when the children fork.  Each shard keeps its
-  own trial memo: it plays its first trial of each activity value, so a
-  trial that draws no random number has the same outcome and stats
-  delta in every shard, and a shard's stats count each memoized trial
-  once.
+  own trial memo: it plays its first trial of each activity value and
+  draw path, so a trial has the same outcome and stats delta in every
+  shard, and a shard's stats count each memoized trial once.
 * the diagonalization verifier (``skew.verify_diagonalization``) shards
   its domains t, at least ``skew.MIN_SHARD_DOMAINS`` a shard.  The
   parent builds every table the check reads before it forks, so the

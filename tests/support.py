@@ -212,17 +212,33 @@ def galois_pp_forced_trial(sc, way: int):
     return report.trial_rows[0], not trial_caches[0].rng.script
 
 
-def play_every_trial(sc, cache, snapshot, protocol, value_key, first, stop):
+def play_every_trial(sc, cache, snapshot, protocol, value_key, first, stop, paths=None):
     """Reference for ``attacks._play_trials``, with its signature and
     results: every trial reseeds the cache, draws its coin, restores the
-    snapshot and plays the protocol, with no memo."""
+    snapshot and plays the protocol, with no memo.  Given a list
+    ``paths``, it appends each trial's activity and draw path: per
+    ``getrandbits`` call of the protocol, the value mod the way count
+    when 64 bits were drawn, else None."""
     counts = [0] * (4 + sc.cache.num_sets)
     rows = [] if sc.record_trials else None
     for trial in range(first, stop):
         cache.reseed(sc.seed + trial)
         active = attacks._trial_active(cache.rng, sc.victim_access_probability)
+        drawn = []
+        if paths is not None:
+            real = cache.rng.getrandbits
+
+            def record(k):
+                bits = real(k)
+                drawn.append(bits % sc.cache.num_ways if k == 64 else None)
+                return bits
+
+            cache.rng.getrandbits = record
         cache.restore(snapshot)
         detected, correct, value = protocol(cache, active)
+        if paths is not None:
+            del cache.rng.getrandbits
+            paths.append((active, tuple(drawn)))
         if active and correct:
             counts[0] += 1
         elif detected:

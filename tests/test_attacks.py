@@ -6,8 +6,11 @@ can and cannot infer, and that everything replays bit-identically.
 """
 
 import dataclasses
+import functools
 import json
 import os
+import pathlib
+import tempfile
 import time
 from unittest import mock
 
@@ -399,30 +402,38 @@ def _counting(patch, tmp_path, name):
     return lambda: path.stat().st_size
 
 
-def _draws(sc, active):
-    """Whether a trial of ``sc`` with this activity draws a random number.
-    Collusion's squeeze always evicts; galois-pp's victim fills a full
-    row and its idle probe hits everywhere; baseline's victim evicts
-    only under random replacement, when it shares the full primed set."""
-    if sc.kind == "collusion":
-        return True
-    if sc.kind == "galois_pp":
-        return active
-    primed = sc.adversary_prime_set
-    same_set = primed is None or primed == sc.victim_target_set
-    return active and same_set and sc.cache.replacement == "random"
+def _draw_paths(sc):
+    """Each trial's activity and draw path (``play_every_trial``), from
+    the oracle driver in one shard."""
+    paths = []
+    with mock.patch.object(shards, "_shard_count", lambda work, min_work: 1), \
+            mock.patch.object(attacks, "_play_trials",
+                              functools.partial(play_every_trial, paths=paths)):
+        run_scenario(sc)
+    return paths
 
 
-def _played(sc, rows, count):
-    """How many trials the driver plays over ``count`` shards, given the
-    trial rows: per shard, every trial that draws, and the first trial
-    of each activity that does not."""
+def _played(sc, count):
+    """How many trials the driver plays over ``count`` shards: per shard,
+    the first trial of each new (activity, draw path), and every trial
+    of a value once one of its trials drew other than 64 bits, drew more
+    than ``_MEMO_DEPTH`` times or found the shard's ways² leaves taken."""
+    paths = _draw_paths(sc)
+    ways = sc.cache.num_ways
     bounds = [sc.trials * i // count for i in range(count + 1)]
     played = 0
     for first, stop in zip(bounds, bounds[1:]):
-        actives = [row["active"] for row in rows[first:stop]]
-        drawing = [_draws(sc, a) for a in actives]
-        played += sum(drawing) + len({a for a, d in zip(actives, drawing) if not d})
+        leaves, capped = set(), set()
+        for active, path in paths[first:stop]:
+            if active in capped:
+                played += 1
+            elif (active, path) not in leaves:
+                played += 1
+                if (None in path or len(path) > attacks._MEMO_DEPTH
+                        or len(leaves) >= ways * ways):
+                    capped.add(active)
+                else:
+                    leaves.add((active, path))
     return played
 
 
@@ -434,7 +445,7 @@ def _assert_equals_folded(monkeypatch, tmp_path, sc):
         restores = _counting(patch, tmp_path, "restore")
         fast = run_scenario(sc)
     count = shards._shard_count(sc.trials, attacks.MIN_SHARD_TRIALS)
-    assert restores() == _played(sc, fast.trial_rows, count)
+    assert restores() == _played(sc, count)
     with monkeypatch.context() as patch:
         patch.setattr(attacks, "_run_trials", _folded)
         _restore_only_empty(patch)
@@ -550,18 +561,38 @@ def memo_scenarios(draw):
     return dataclasses.replace(sc, record_trials=True)
 
 
+GF5 = SkewParams(FieldSpec.prime(5))
+
+# (scenario, shard count) pairs pinned in front of the memo's Hypothesis
+# tests: both activities at the root, the idle one only, and neither;
+# galois-pp's draw paths at p = 1 and on a prime field; baseline's
+# random victim in the primed set, past the leaf cap (ways² = 16) and,
+# on 64x8, past the depth cap with leaves grown; collusion at p = 1,
+# past the depth cap from its first trial
+MEMO_EXAMPLES = [
+    (baseline_scenario(trials=40, victim_access_probability=0.5), 2),
+    (default_scenario("galois_pp", galois_config(SP4), 40, 7, 0.5), 2),
+    (default_scenario("collusion", galois_config(SP4), 40, 7, 0.5), 2),
+    (default_scenario("galois_pp", galois_config(SP4), 40, 7, 1.0), 2),
+    (default_scenario("galois_pp", galois_config(GF5), 40, 7, 0.5), 2),
+    (baseline_scenario(cache=conventional_config(4, 4, "random"), trials=40, seed=7,
+                       victim_access_probability=0.5), 1),
+    (baseline_scenario(cache=conventional_config(64, 8, "random"), trials=300,
+                       victim_access_probability=0.5), 1),
+    (default_scenario("collusion", galois_config(GF5), 20, 7, 1.0), 2),
+]
+
+
+def _memo_examples(test):
+    for sc, count in reversed(MEMO_EXAMPLES):
+        test = example(sc=dataclasses.replace(sc, record_trials=True), count=count)(test)
+    return test
+
+
 class TestTrialMemo:
     @settings(max_examples=max(100, settings().max_examples), deadline=None)
     @given(sc=memo_scenarios(), count=st.integers(1, 3))
-    # both activities memoized, the idle one only, and neither
-    @example(sc=baseline_scenario(trials=40, victim_access_probability=0.5,
-                                  record_trials=True), count=2)
-    @example(sc=dataclasses.replace(
-        default_scenario("galois_pp", galois_config(SP4), 40, 7, 0.5), record_trials=True),
-        count=2)
-    @example(sc=dataclasses.replace(
-        default_scenario("collusion", galois_config(SP4), 40, 7, 0.5), record_trials=True),
-        count=2)
+    @_memo_examples
     def test_trial_memo_matches_every_trial_oracle(self, sc, count):
         outcomes = []
         with mock.patch.object(shards, "_shard_count", lambda work, min_work: count):
@@ -573,6 +604,42 @@ class TestTrialMemo:
         assert (r["true_positives"] + r["false_positives"] + r["false_negatives"]
                 + r["true_negatives"]) == sc.trials
         no_child_left()
+
+    @settings(max_examples=max(100, settings().max_examples), deadline=None)
+    @given(sc=memo_scenarios(), count=st.integers(1, 3))
+    @_memo_examples
+    def test_trial_memo_plays_each_oracle_draw_path_once_a_shard(self, sc, count):
+        with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+            patch.setattr(shards, "_shard_count", lambda work, min_work: count)
+            restores = _counting(patch, pathlib.Path(tmp), "restore")
+            run_scenario(sc)
+            played = restores()
+        assert played == _played(sc, count)
+        no_child_left()
+
+    # draws the tree cannot be keyed by: one past the recorder, one
+    # narrower than 64 bits, one as long in the stream as a 64-bit draw
+    @pytest.mark.parametrize("coin", [lambda rng: rng.random() < 0.5,
+                                      lambda rng: rng.getrandbits(1) == 1,
+                                      lambda rng: rng.getrandbits(40) & 1 == 1],
+                             ids=["random", "getrandbits-1", "getrandbits-40"])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_other_draws_are_played_every_trial(self, monkeypatch, tmp_path, coin, count):
+        monkeypatch.setattr(shards, "_shard_count", lambda work, min_work: count)
+
+        def protocol(cache, active):
+            detected = coin(cache.rng)
+            return detected, detected, -1
+
+        sc = baseline_scenario(trials=300, victim_access_probability=1.0, record_trials=True)
+        restores = _counting(monkeypatch, tmp_path, "restore")
+        reseeds = _counting(monkeypatch, tmp_path, "reseed")
+        got, _ = _run_trials(sc, protocol, "scripted", _no_prefix)
+        # played from the first trial on, one reseed a trial (no coin at p = 1)
+        assert restores() == reseeds() == sc.trials
+        monkeypatch.setattr(attacks, "_play_trials", play_every_trial)
+        assert _outcome(got) == _outcome(_run_trials(sc, protocol, "scripted", _no_prefix)[0])
+        assert 0 < got.true_positives < sc.trials
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_baseline_lru_plays_each_activity_once_a_shard(self, monkeypatch, tmp_path,
@@ -592,7 +659,7 @@ class TestTrialMemo:
         assert report.true_positives == sc.trials
 
     @pytest.mark.parametrize("count", [1, 3])
-    def test_galois_pp_plays_every_active_trial(self, monkeypatch, tmp_path, count):
+    def test_galois_pp_plays_each_draw_path_once_a_shard(self, monkeypatch, tmp_path, count):
         monkeypatch.setattr(shards, "_shard_count", lambda work, min_work: count)
         sc = dataclasses.replace(
             default_scenario("galois_pp", galois_config(SkewParams(FieldSpec.binary(4))),
@@ -600,18 +667,29 @@ class TestTrialMemo:
             record_trials=True)
         restores = _counting(monkeypatch, tmp_path, "restore")
         report = run_scenario(sc)
+        played = restores()
         active = sum(row["active"] for row in report.trial_rows)
         assert 0 < active < sc.trials
-        # one per active trial, and one idle trial a shard
-        assert restores() == active + count
+        assert 0 < report.true_positives < active
+        assert played == _played(sc, count)
+        # the idle path and 2m - 1 active ones: a fill that spares the
+        # primed line, or one that evicts it and then each refill way
+        paths = set(_draw_paths(sc))
+        assert len(paths) == 1 + 2 * 16 - 1
+        assert len(paths) <= played <= count * len(paths)
 
     def test_collusion_plays_every_trial(self, monkeypatch, tmp_path):
         monkeypatch.setattr(shards, "_shard_count", lambda work, min_work: 2)
         sc = default_scenario("collusion", galois_config(SP4), 300, seed=3,
                               victim_access_probability=0.5)
         restores = _counting(monkeypatch, tmp_path, "restore")
+        reseeds = _counting(monkeypatch, tmp_path, "reseed")
         run_scenario(sc)
         assert restores() == sc.trials
+        assert reseeds() == sc.trials  # a played value reseeds once a trial
+        sc = dataclasses.replace(sc, victim_access_probability=1.0)
+        run_scenario(sc)
+        assert reseeds() == 2 * sc.trials  # no coin: the play's reseed alone
 
 
 class TestSweepAndReportPlumbing:

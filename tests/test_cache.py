@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from itertools import islice
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,9 +18,11 @@ from skewcache import (
     conventional_config,
     decompose_address,
     galois_config,
+    permute,
     replay,
     stacked_config,
 )
+from skewcache import cache as cache_module
 from skewcache.cache import KINDS
 from skewcache.field import MAX_CELLS
 from skewcache.skew import layout_table, verify_way_bijection
@@ -863,6 +866,41 @@ class TestSharedRows:
         assert sorted(second._rows) == sorted(first._rows) == list(domains)
         for d in domains:
             assert second._rows[d] is first._rows[d]
+
+
+    @ORACLE_SETTINGS
+    @given(cfg=st.sampled_from([*FILL_CONFIGS, stacked_config(SP4, stack_bits=2)]),
+           data=st.data())
+    def test_rows_laid_out_on_read_match_permute_oracle(self, cfg, data):
+        m, sets, ways = cfg.num_domains, cfg.num_sets, cfg.num_ways
+        domain = data.draw(st.integers(0, (m or 3) - 1))
+        span = sets * cfg.num_instances
+        reads = data.draw(st.lists(st.integers(0, span - 1), max_size=2 * span))
+        with mock.patch.object(cache_module, "_LAYOUTS", {}), \
+                mock.patch.object(cache_module, "_layout_cells", 0):
+            rows = build_cache(cfg)._rows_of(domain)
+            slices = (m or 0) ** 2  # a skewed domain keeps its slice
+            for r in reads:
+                instance, s = divmod(r, sets)
+                physical = [s if m is None else permute(cfg.skew, domain, s, w)
+                            for w in range(ways)]
+                assert rows[r] == tuple((instance * sets + physical[w]) * ways + w
+                                        for w in range(ways))
+            assert sorted(rows) == sorted(set(reads))
+            assert cache_module._layout_cells == slices + ways * len(set(reads))
+
+    def test_rows_laid_out_on_first_touch(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "_LAYOUTS", {})
+        monkeypatch.setattr(cache_module, "_layout_cells", 0)
+        # 2^24 cells: laying out every row took seconds and a GiB
+        cfg = conventional_config(1 << 21, 8, "random")
+        cache = build_cache(cfg)
+        touched = [3, (1 << 21) - 1]
+        for s in touched:
+            cache.access(0, compose_address(cfg, s, 1))
+        cache.access(1, compose_address(cfg, 3, 2))  # domains share the rows
+        assert cache_module._layout_cells == len(touched) * 8
+        assert sorted(cache._rows_of(0)) == touched
 
 
 class TestSnapshot:
