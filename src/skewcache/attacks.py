@@ -33,14 +33,22 @@ outcome, a stats delta and a reuse count.  Baseline prime-probe under
 LRU draws in no trial (a leaf at the root), galois-pp once or twice
 when the victim is active (its fill, and the refill of its probe's
 miss, evict at random: at most 2m - 1 paths), collusion 150 or more
-times (its squeeze), past the depth cap, so it is played in every trial.
+times (its squeeze), past the depth cap.
+
+So collusion's trials are not played one by one through the cache.
+Its runner hands the trial driver a batch player, ``_collusion_lockstep``,
+which plays a shard's trials together in blocks: one numpy step per
+draw for all the block's trials, each trial's draws taken from its own
+``Random(seed + trial)`` in one ``getrandbits`` call.  Its reports and
+trial rows are byte for byte those of the scalar loop, which stays its
+oracle and plays any run the engine does not fit.
 
 The probes and collusion's squeeze are groups of one domain's lines,
 which the cache runs through its row-local kernel: each row is scanned
 once, and then every miss is one cell write and at most one draw.
-Collusion squeezes with ``fill_domain_set`` and probes with
-``probe_group``; galois-pp probes its primed set with ``probe_group``
-in its stop-at-first-miss mode.
+On the scalar path collusion squeezes with ``fill_domain_set`` and
+probes with ``probe_group``; galois-pp probes its primed set with
+``probe_group`` in its stop-at-first-miss mode.
 
 Each kind supplies only its protocol steps:
 
@@ -75,6 +83,8 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
+
+import numpy as np
 
 from .cache import CacheConfig, build_cache, compose_address
 from .shards import _run_shards
@@ -327,7 +337,8 @@ def _play_trials(sc: AttackScenario, cache, snapshot, protocol, value_key: Optio
 
 
 def _run_trials(sc: AttackScenario, protocol, definition: str, prefix,
-                value_key: Optional[str] = None) -> tuple[DetectionReport, list[int]]:
+                value_key: Optional[str] = None,
+                batch=None) -> tuple[DetectionReport, list[int]]:
     """Run the scenario's trials of one protocol; returns the report and
     the count of each value the protocol returned.
 
@@ -349,11 +360,18 @@ def _run_trials(sc: AttackScenario, protocol, definition: str, prefix,
     starts from the same restored snapshot, so trials with the same
     ``active`` and draw residues have the same outcome and stats delta,
     and ``_play_trials`` plays each such path once per shard.
+
+    ``batch(cache, snapshot)``, if given, is asked once per run for a
+    player of whole shards, ``play(first, stop)`` with ``_play_trials``'
+    results; where it returns None, the shards take ``_play_trials``.
     """
     cache = build_cache(sc.cache, sc.seed)
     snapshot = _prefix_snapshot(sc, prefix)
+    lockstep = batch(cache, snapshot) if batch is not None else None
 
     def play(first: int, stop: int):
+        if lockstep is not None:
+            return lockstep(first, stop)
         return _play_trials(sc, cache, snapshot, protocol, value_key, first, stop)
 
     (counts, rows, stats), *others = _run_shards(sc.trials, play, MIN_SHARD_TRIALS)
@@ -527,16 +545,186 @@ def run_collusion_attack(sc: AttackScenario) -> DetectionReport:
         inferred = inferred_for[fired_set]
         return True, inferred == sc.victim_target_set, inferred
 
+    def lockstep(cache, snapshot):
+        return _collusion_lockstep(sc, cache, snapshot, squeeze_addrs, target_addr,
+                                   probe_addrs, inferred_for)
+
     report, inferred_counts = _run_trials(
         sc, trial,
         "some prober set misses in every way and its surviving cell maps to "
         "the true victim set",
-        prime, "inferred_set",
+        prime, "inferred_set", lockstep,
     )
     # the victim only ever targets its one set, so only that row fills
     report.per_set_confusion = [
         inferred_counts if s == sc.victim_target_set else [0] * m for s in range(m)]
     return report
+
+
+#: a lockstep trial's first draw budget, in units of ways² draws; a
+#: trial that runs out of draws is played again with twice the budget
+_LOCKSTEP_BUDGET = 5
+#: draws a lockstep block holds, one byte each (4 MiB)
+_LOCKSTEP_BLOCK = 1 << 22
+_STAT_KEYS = ("hits", "misses", "evictions_caused", "self_evictions")
+
+
+def _collusion_lockstep(sc: AttackScenario, cache, snapshot, squeeze_addrs, target_addr,
+                        probe_addrs, inferred_for):
+    """A player of whole shards of collusion trials, a block of trials in
+    lockstep, with ``_play_trials``' results; None where the run does not
+    fit it.  The scalar loop stays its oracle.
+
+    Trial t draws its coin from its own ``Random(seed + t)``, then its
+    whole budget of K draws in one ``getrandbits(64 * K)``, whose 64-bit
+    words, low first, are the cache's K ``getrandbits(64)`` values; what
+    a trial leaves undrawn is never read.  Each numpy step of the squeeze
+    plays one draw of every trial still squeezing, in ``_play_group``'s
+    order, from its group, first-pass index, gone mask and the group line
+    in each way of its row.  A group ends with its m lines in its row's m
+    cells, so every squeeze leaves the same cell owners; the victim's
+    access and the probe then play as ``_access_line`` does, on line
+    codes, one per (domain, tag).
+
+    It needs the prefix to leave a full cache with no squeezer or victim
+    line, squeeze groups of one row of m <= 62 distinct lines (the gone
+    mask is an int64), and rows of the prober, squeezer and victim that
+    share no cell (``_group``'s kernel test): then every miss draws, and
+    a squeeze group starts with none of its lines and alone writes its row.
+    """
+    prober, squeezer = sc.adversary_domains
+    m, p = cache.cfg.num_ways, sc.victim_access_probability
+    squeeze = [cache._group(squeezer, addrs) for addrs in squeeze_addrs]
+    probe = cache._group(prober, probe_addrs)
+    target = cache._group(sc.victim_domain, (target_addr,))
+    owners = {d for _, (d, _) in snapshot.lines}
+    if (len(snapshot.lines) < snapshot.size or m > 62 or not probe.kernel
+            or not target.kernel or squeezer in owners or sc.victim_domain in owners
+            or any(not g.kernel or len(g.rows) > 1 or len(g.keys) != m for g in squeeze)):
+        return None
+    keys = list(dict.fromkeys([*(line for _, line in snapshot.lines), *probe.keys,
+                               *target.keys, (squeezer, None)]))  # the last: any squeezer line
+    code = {key: c for c, key in enumerate(keys)}
+    dom = np.array([d for d, _ in keys])
+    after = np.empty(snapshot.size, np.int16)  # the cells every squeeze leaves
+    for idx, line in snapshot.lines:
+        after[idx] = code[line]
+    groups = len(squeeze)
+    after[[g.rows[0][0] for g in squeeze]] = code[squeezer, None]
+    bit = np.array([1 << j for j in range(m)] + [0], np.int64)  # bit[-1]: no group line
+    full = (1 << m) - 1
+    probe_rows, probe_codes = np.array(probe.cands), [code[k] for k in probe.keys]
+    target_row, target_code = np.array(target.cands[0]), code[target.keys[0]]
+    inferred = np.array([*inferred_for, -1])  # -1 where no set fired
+
+    def block(trials: list, budget: int):
+        """Per trial: activity, fired set (-1: none), stats columns (see
+        ``play``) and whether the budget ran out."""
+        count = len(trials)
+        # the victim and the probe draw at most once a line past the budget
+        draws = np.zeros((budget + 1 + len(probe_codes), count), np.uint8)
+        active = np.empty(count, bool)
+        rng = random.Random()
+        for k, trial in enumerate(trials):
+            rng.seed(sc.seed + trial)
+            active[k] = _trial_active(rng, p)
+            words = rng.getrandbits(64 * budget).to_bytes(8 * budget, "little")
+            draws[:budget, k] = np.frombuffer(words, "<u8") % m
+        cols = np.zeros((5, count), np.int64)
+        ptr = np.zeros(count, np.intp)
+        short = np.ones(count, bool)
+        live, g, i = np.arange(count), np.zeros(count, np.intp), np.zeros(count, np.intp)
+        gone, lines = np.full(count, full), np.zeros(count, np.int64)
+        holder = np.full(count * m, -1)  # per trial, the group line in each way (-1: none)
+        at = np.arange(0, count * m, m)
+        for step in range(budget):
+            if not live.size:
+                break
+            first = i < m  # the first pass plays line i, a later one its lowest gone line
+            j = np.where(first, i, np.frexp(gone & -gone)[1] - 1)
+            way = at + draws[step].take(live)
+            lost = holder.take(way)
+            holder.put(way, j)
+            gone = (gone | bit.take(lost)) & ~bit.take(j)
+            i += first
+            lines += j
+            done = gone == 0  # a pass that hits everywhere ends the group
+            if done.any():
+                g += done
+                i[done], gone[done] = 0, full
+                holder.reshape(-1, m)[done] = -1
+                out = g == groups
+                if out.any():
+                    ended, keep = live[out], ~out
+                    ptr[ended], short[ended], cols[0, ended] = step + 1, False, lines[out]
+                    live, g, i, gone, lines = (a[keep] for a in (live, g, i, gone, lines))
+                    holder, at = holder.reshape(-1, m)[keep].ravel(), at[:live.size]
+        # a later pass hits the lines below the one it refills, and the
+        # last pass of a group all m; the first passes played lines 0 to m-1
+        cols[0] += groups * (m - m * (m - 1) // 2)
+        cols[1] = ptr
+        cells, at = np.tile(after, count), np.arange(0, count * after.size, after.size)
+        draws = draws.ravel()
+
+        def miss(who, row, line: int, col: int, owned):
+            # each trial of ``who`` misses into its full row: draw, evict, count
+            q = ptr[who]
+            ptr[who] = q + 1
+            cell = at[who] + row.take(draws.take(q * count + who))
+            cols[col, who] += owned.take(cells.take(cell))
+            cells.put(cell, line)
+
+        miss(np.flatnonzero(active), target_row, target_code, 2, dom == sc.victim_domain)
+        probed, grid = np.empty((count, len(probe_codes)), bool), cells.reshape(count, -1)
+        for k, (row, line) in enumerate(zip(probe_rows, probe_codes)):
+            probed[:, k] = (grid[:, row] == line).any(1)
+            miss(np.flatnonzero(~probed[:, k]), row, line, 3, dom == prober)
+        short |= ptr > budget  # a draw past the budget read the zero padding
+        cols[4] = probed.sum(1)
+        fired = ~probed.reshape(count, m, m).any(2)  # set s is lines s*m to s*m + m - 1
+        return active, np.where(fired.any(1), fired.argmax(1), -1), cols, short
+
+    def play(first: int, stop: int):
+        count = stop - first
+        active, fired = np.zeros(count, bool), np.zeros(count, np.intp)
+        # squeeze hits and misses, victim and probe self-evictions, probe hits
+        cols = np.zeros((5, count), np.int64)
+        todo, budget = np.arange(count), _LOCKSTEP_BUDGET * m * m
+        while todo.size:
+            per, again = max(1, _LOCKSTEP_BLOCK // budget), []
+            for start in range(0, todo.size, per):
+                part = todo[start:start + per]
+                got_active, got_fired, got_cols, short = block((first + part).tolist(), budget)
+                ok = part[~short]
+                active[ok], fired[ok], cols[:, ok] = (
+                    got_active[~short], got_fired[~short], got_cols[:, ~short])
+                again.append(part[short])
+            todo, budget = np.concatenate(again), 2 * budget
+        value = inferred[fired]
+        detected = fired >= 0
+        hit = active & (value == sc.victim_target_set)
+        counts = [int(hit.sum()), int((detected & ~hit).sum()),
+                  int((active & ~detected).sum()), int((~active & ~detected).sum()),
+                  *np.bincount(value[detected], minlength=sc.cache.num_sets).tolist()]
+        rows = [{"trial": t, "active": a, "detected": d, "inferred_set": v}
+                for t, a, d, v in zip(range(first, stop), active.tolist(), detected.tolist(),
+                                      value.tolist())] if sc.record_trials else None
+        if not count:
+            return counts, rows, {}
+        sq_hits, sq_misses, vic_self, probe_self, probe_hits = cols.sum(1).tolist()
+        accesses, probe_misses = int(active.sum()), count * len(probe_codes) - probe_hits
+        sq_other = count * groups * m  # a group evicts its row's m other lines once each
+        stats: dict = {}
+        for d, row, times in (
+                *((d, row, count) for d, row in snapshot.stats.items()),
+                (squeezer, (sq_hits, sq_misses, sq_other, sq_misses - sq_other), 1),
+                (sc.victim_domain, (0, accesses, accesses - vic_self, vic_self), 1),
+                (prober, (probe_hits, probe_misses, probe_misses - probe_self, probe_self), 1)):
+            if row[0] + row[1]:  # a domain has a stats row once it made an access
+                _add_stats(stats, {d: dict(zip(_STAT_KEYS, row))}, times)
+        return counts, rows, dict(sorted(stats.items()))
+
+    return play
 
 
 _RUNNERS = {

@@ -53,9 +53,12 @@ the stamps and the clock as they are, since both count from the flush.
 One batch loop serves trace replay.  ``play`` accesses a stream of
 ``(domain, op, addr)`` records in order through a line index built on
 entry: a dict from ``(domain, block)`` to the cell that holds the line,
-and per cell the key it is indexed by.  A warm line is indexed through
-the row of its domain that holds its cell, found by walking that
-domain's rows.  A hit is one dict lookup; a miss reads its row only
+and per cell the key it is indexed by.  Only the occupied cells are
+visited: a warm line is indexed through the row of its domain that
+holds its cell, which is the cell's set on a conventional cache and,
+on a skewed one, comes from the inverse of the domain's slice (its
+column of the cell's way), with the stacked instance added.  A hit is
+one dict lookup; a miss reads its row only
 for the first free way (while the cache has one) or the LRU ages, and
 a random-replacement miss on a full row draws its victim without
 reading the row.  The index is exact for domains whose rows share no
@@ -73,7 +76,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -252,6 +255,27 @@ class _Rows(dict):
     def __init__(self, ways: int, physical: Optional[np.ndarray] = None):
         super().__init__()
         self.ways, self.physical = ways, physical
+        self._sets: Optional[list] = None  # cell of an instance -> its set
+
+    def row_finder(self, size: int):
+        """A function from a cell of a ``size``-cell cache to the row
+        whose candidate cells hold it, for a domain whose rows share no
+        cell: the cell's set on a conventional cache; on a skewed one, the
+        set that the slice's column of the cell's way maps to the cell's
+        physical set, in the cell's stacked instance."""
+        global _layout_cells
+        ways, physical = self.ways, self.physical
+        if physical is None:
+            return ways.__rfloordiv__
+        if self._sets is None:
+            sets = np.empty_like(physical.T)
+            sets[np.arange(ways), physical] = np.arange(len(physical))[:, None]
+            self._sets = sets.T.ravel().tolist()  # cell p * ways + w -> its set
+            _layout_cells += physical.size
+        sets, cells, m = self._sets, physical.size, len(physical)
+        if size == cells:
+            return sets.__getitem__
+        return lambda idx: idx // cells * m + sets[idx % cells]
 
     def __missing__(self, row: int) -> tuple:
         global _layout_cells
@@ -457,19 +481,22 @@ class _BaseCache:
         """``play``'s index of the resident lines: ``(domain, block)`` ->
         cell for each line of a domain whose rows share no cell, and per
         cell its key (None for a free cell or another domain's line).  A
-        line's block is its tag and the row of its domain holding it."""
+        line's block is its tag and the row of its domain holding its
+        cell (``_Rows.row_finder``); only the occupied cells are visited."""
         cells, span = self._cells, self._span
         where: dict[tuple, int] = {}
         held: list[Optional[tuple]] = [None] * len(cells)
-        for d in {cell[0] for cell in cells if cell is not None}:
-            if self._rows_disjoint(d):
-                rows = self._rows_of(d)
-                for r in range(span):
-                    for idx in rows[r]:
-                        cell = cells[idx]
-                        if cell is not None and cell[0] == d:
-                            key = held[idx] = (d, cell[1] * span + r)
-                            where[key] = idx
+        finders: dict = {}  # domain -> its row finder, None if its rows overlap
+        for idx in compress(range(len(cells)), cells):
+            d, tag = cells[idx]
+            try:
+                row_of = finders[d]
+            except KeyError:
+                row_of = finders[d] = (self._rows_of(d).row_finder(len(cells))
+                                       if self._rows_disjoint(d) else None)
+            if row_of is not None:
+                key = held[idx] = (d, tag * span + row_of(idx))
+                where[key] = idx
         return where, held
 
     def _play_indexed(self, records, ops: dict) -> Optional[tuple]:

@@ -21,14 +21,19 @@ Two callers share the runner:
   own trial memo: it plays its first trial of each activity value and
   draw path, so a trial has the same outcome and stats delta in every
   shard, and a shard's stats count each memoized trial once.
+  Collusion's shards play every trial, in lockstep blocks
+  (``attacks._collusion_lockstep``): each trial draws from its own
+  ``Random(seed + trial)`` and starts from the prefix's cells, so it
+  has the same outcome and stats in any block of any shard.
 * the diagonalization verifier (``skew.verify_diagonalization``) shards
   its domains t, at least ``skew.MIN_SHARD_DOMAINS`` a shard.  The
   parent builds every table the check reads before it forks, so the
   children share them copy-on-write and make no ``FieldSpec`` call; it
   joins the shards' violation lists in domain order.
 
-The children run the callers' Python code and, for the verifier, numpy
-gathers and comparisons, but no BLAS routine: numpy's BLAS library
+The children run the callers' Python code and, for the verifier and
+collusion's lockstep engine, numpy gathers, comparisons and integer
+arithmetic, but no BLAS routine: numpy's BLAS library
 starts a thread when imported, a forked child does not inherit it, and
 Python 3.12 and later warn (``DeprecationWarning``) on such a fork.
 """

@@ -41,6 +41,7 @@ from skewcache.attacks import KINDS, _run_trials
 from skewcache.cache import _BaseCache
 
 from support import (
+    BrokenModularRing,
     domain_lines_in_set,
     galois_pp_forced_trial,
     line_at,
@@ -359,9 +360,10 @@ def _no_prefix(cache):
     pass
 
 
-def _folded(sc, protocol, definition, prefix, value_key=None):
+def _folded(sc, protocol, definition, prefix, value_key=None, batch=None):
     """The trial driver with the prefix played inside the protocol, after
-    a no-op prefix, as every trial did before the snapshot path."""
+    a no-op prefix, as every trial did before the snapshot path; any
+    batch player (collusion's lockstep engine) is left out."""
     def whole(cache, active):
         prefix(cache)
         return protocol(cache, active)
@@ -402,13 +404,20 @@ def _counting(patch, tmp_path, name):
     return lambda: path.stat().st_size
 
 
+def _scalar(patch):
+    """Send collusion's trials to the scalar trial loop, past the
+    lockstep engine."""
+    patch.setattr(attacks, "_collusion_lockstep", lambda *args: None)
+
+
 def _draw_paths(sc):
     """Each trial's activity and draw path (``play_every_trial``), from
     the oracle driver in one shard."""
     paths = []
-    with mock.patch.object(shards, "_shard_count", lambda work, min_work: 1), \
-            mock.patch.object(attacks, "_play_trials",
-                              functools.partial(play_every_trial, paths=paths)):
+    with pytest.MonkeyPatch.context() as patch:
+        _scalar(patch)
+        patch.setattr(shards, "_shard_count", lambda work, min_work: 1)
+        patch.setattr(attacks, "_play_trials", functools.partial(play_every_trial, paths=paths))
         run_scenario(sc)
     return paths
 
@@ -438,14 +447,17 @@ def _played(sc, count):
 
 
 def _assert_equals_folded(monkeypatch, tmp_path, sc):
-    """The runner restores the prefix once per played trial, and its
-    report and trial rows equal those of replaying the prefix in every
-    trial."""
+    """The scalar runner restores the prefix once per played trial, and
+    its report and trial rows equal those of replaying the prefix in
+    every trial, and those of the runner as it is (collusion's lockstep
+    engine)."""
     with monkeypatch.context() as patch:
+        _scalar(patch)
         restores = _counting(patch, tmp_path, "restore")
         fast = run_scenario(sc)
     count = shards._shard_count(sc.trials, attacks.MIN_SHARD_TRIALS)
     assert restores() == _played(sc, count)
+    assert _outcome(run_scenario(sc)) == _outcome(fast)
     with monkeypatch.context() as patch:
         patch.setattr(attacks, "_run_trials", _folded)
         _restore_only_empty(patch)
@@ -595,10 +607,12 @@ class TestTrialMemo:
     @_memo_examples
     def test_trial_memo_matches_every_trial_oracle(self, sc, count):
         outcomes = []
-        with mock.patch.object(shards, "_shard_count", lambda work, min_work: count):
+        with pytest.MonkeyPatch.context() as patch:
+            _scalar(patch)
+            patch.setattr(shards, "_shard_count", lambda work, min_work: count)
             for play in (attacks._play_trials, play_every_trial):
-                with mock.patch.object(attacks, "_play_trials", play):
-                    outcomes.append(_outcome(run_scenario(sc)))
+                patch.setattr(attacks, "_play_trials", play)
+                outcomes.append(_outcome(run_scenario(sc)))
         assert outcomes[0] == outcomes[1]
         r = outcomes[0][0]
         assert (r["true_positives"] + r["false_positives"] + r["false_negatives"]
@@ -610,6 +624,7 @@ class TestTrialMemo:
     @_memo_examples
     def test_trial_memo_plays_each_oracle_draw_path_once_a_shard(self, sc, count):
         with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+            _scalar(patch)
             patch.setattr(shards, "_shard_count", lambda work, min_work: count)
             restores = _counting(patch, pathlib.Path(tmp), "restore")
             run_scenario(sc)
@@ -684,12 +699,89 @@ class TestTrialMemo:
                               victim_access_probability=0.5)
         restores = _counting(monkeypatch, tmp_path, "restore")
         reseeds = _counting(monkeypatch, tmp_path, "reseed")
-        run_scenario(sc)
-        assert restores() == sc.trials
-        assert reseeds() == sc.trials  # a played value reseeds once a trial
-        sc = dataclasses.replace(sc, victim_access_probability=1.0)
-        run_scenario(sc)
-        assert reseeds() == 2 * sc.trials  # no coin: the play's reseed alone
+        engine = run_scenario(sc)
+        # the lockstep engine draws from its own streams, off the cache
+        assert restores() == reseeds() == 0
+        with monkeypatch.context() as patch:
+            _scalar(patch)
+            scalar = run_scenario(sc)
+            assert restores() == sc.trials
+            assert reseeds() == sc.trials  # a played value reseeds once a trial
+            sc = dataclasses.replace(sc, victim_access_probability=1.0)
+            run_scenario(sc)
+            assert reseeds() == 2 * sc.trials  # no coin: the play's reseed alone
+        assert engine.to_dict() == scalar.to_dict()
+
+
+GF7 = SkewParams(FieldSpec.prime(7))
+RING = SkewParams(BrokenModularRing(p=2, n=2, modulus=0b111))
+
+
+@st.composite
+def lockstep_scenarios(draw):
+    """A collusion scenario on a small layout: any three distinct
+    domains, victim set and skip set (or the default), any seed to 2^64,
+    a coin probability of 0, 1/2, 1 or any other, rows recorded or not."""
+    sp = draw(st.sampled_from([SP4, SkewParams(FieldSpec.binary(3), a=3, b=5, c=6), GF5, GF7]))
+    m = sp.field.order
+    victim, prober, squeezer = draw(st.permutations(range(m)))[:3]
+    prob = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    return AttackScenario(
+        kind="collusion", cache=galois_config(sp), victim_domain=victim,
+        adversary_domains=(prober, squeezer), victim_target_set=draw(st.integers(0, m - 1)),
+        trials=draw(st.integers(0, 40)), seed=draw(st.integers(0, 2**64)),
+        victim_access_probability=prob, squeezer_skip_set=draw(st.none() | st.integers(0, m - 1)),
+        record_trials=draw(st.booleans()))
+
+
+def _collusion(sp, trials=30, seed=7, prob=0.5, **kw):
+    return dataclasses.replace(default_scenario("collusion", galois_config(sp), trials, seed, prob),
+                               **{"record_trials": True, **kw})
+
+
+class TestLockstep:
+    # A budget of 1 (m² draws) is short for every trial, whose squeeze
+    # and probe miss at least 2m(m - 1) times, so each is played again
+    # with 2m², then 4m² draws.  The mod-4 ring's rows share no cell, so
+    # the engine plays it, though the squeeze there leaves some prober
+    # sets two survivors or none; GF(64)'s squeeze groups (64 lines)
+    # overflow the gone mask and take the scalar loop.
+    @settings(max_examples=max(100, settings().max_examples), deadline=None)
+    @given(sc=lockstep_scenarios(), count=st.integers(1, 3), budget=st.sampled_from([1, 5]))
+    @example(sc=_collusion(GF5), count=2, budget=5)
+    @example(sc=_collusion(GF7, victim_target_set=6), count=1, budget=5)
+    @example(sc=_collusion(SP4, prob=0.0), count=2, budget=5)
+    @example(sc=_collusion(SP4, prob=1.0), count=2, budget=5)
+    @example(sc=_collusion(SP4, record_trials=False), count=3, budget=5)
+    @example(sc=AttackScenario(kind="collusion", cache=galois_config(SP4), victim_domain=0,
+                               adversary_domains=(3, 2), victim_target_set=1, trials=30,
+                               seed=5, victim_access_probability=0.5, squeezer_skip_set=0,
+                               record_trials=True), count=2, budget=5)
+    @example(sc=_collusion(SP4, seed=2**40 + 7), count=2, budget=5)
+    @example(sc=_collusion(GF5), count=2, budget=1)
+    @example(sc=_collusion(RING, trials=40, victim_domain=3), count=2, budget=5)
+    @example(sc=_collusion(SkewParams(FieldSpec.binary(6)), trials=2), count=1, budget=5)
+    def test_lockstep_engine_matches_scalar_oracle(self, sc, count, budget):
+        players, engine = [], attacks._collusion_lockstep
+
+        def spy(*args):
+            players.append(engine(*args))
+            return players[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(shards, "_shard_count", lambda work, min_work: count)
+            patch.setattr(attacks, "_LOCKSTEP_BUDGET", budget)
+            patch.setattr(attacks, "_collusion_lockstep", spy)
+            got = run_scenario(sc)
+            _scalar(patch)
+            want = run_scenario(sc)
+        assert got.to_dict() == want.to_dict()
+        assert got.trial_rows == want.trial_rows
+        assert list(got.domain_stats.items()) == list(want.domain_stats.items())
+        assert [player is None for player in players] == [sc.cache.num_ways > 62]
+        if sc.victim_access_probability == 0.0:  # no victim access, no victim row
+            assert sc.victim_domain not in got.domain_stats
+        no_child_left()
 
 
 class TestSweepAndReportPlumbing:

@@ -888,6 +888,10 @@ class TestSharedRows:
                                         for w in range(ways))
             assert sorted(rows) == sorted(set(reads))
             assert cache_module._layout_cells == slices + ways * len(set(reads))
+            # and back: each cell of a row read is found in that row
+            if build_cache(cfg)._rows_disjoint(domain):
+                row_of = rows.row_finder(sets * ways * cfg.num_instances)
+                assert all(row_of(idx) == r for r in reads for idx in rows[r])
 
     def test_rows_laid_out_on_first_touch(self, monkeypatch):
         monkeypatch.setattr(cache_module, "_LAYOUTS", {})
@@ -901,6 +905,24 @@ class TestSharedRows:
         cache.access(1, compose_address(cfg, 3, 2))  # domains share the rows
         assert cache_module._layout_cells == len(touched) * 8
         assert sorted(cache._rows_of(0)) == touched
+
+    def test_play_indexes_only_the_occupied_cells(self, monkeypatch):
+        """A play on a cache that holds one line lays out only the rows
+        its records read: the line index finds the resident line's row
+        from its cell, not by walking the domain's rows."""
+        monkeypatch.setattr(cache_module, "_LAYOUTS", {})
+        monkeypatch.setattr(cache_module, "_layout_cells", 0)
+        cfg = conventional_config(1 << 21, 8, "random")
+        cache = build_cache(cfg)
+        line = compose_address(cfg, (1 << 21) - 1, 1)
+        assert cache.play([(0, "W", line)]) == {0: {"reads": 0, "writes": 1}}  # a new cache
+        other = compose_address(cfg, 3, 2)
+        assert cache.play([(0, "R", line), (1, "R", other)]) == {
+            0: {"reads": 1, "writes": 0}, 1: {"reads": 1, "writes": 0}}
+        assert cache.stats()[0] == {"hits": 1, "misses": 1, "evictions_caused": 0,
+                                    "self_evictions": 0}
+        assert cache_module._layout_cells == 2 * 8
+        assert sorted(cache._rows_of(0)) == [3, (1 << 21) - 1]
 
 
 class TestSnapshot:
