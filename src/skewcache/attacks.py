@@ -356,7 +356,7 @@ def _run_trials(sc: AttackScenario, protocol, definition: str, prefix,
     stamps and clock, and random stream) and ``active``: no state of its
     own, no trial index, no outside input.  It may draw only through the
     cache, whose draws are each ``getrandbits(64) % ways`` (in
-    ``_access_line``, ``_play_group`` and ``_play_indexed``).  Every trial
+    ``_access_line``, ``_play_group`` and ``play``).  Every trial
     starts from the same restored snapshot, so trials with the same
     ``active`` and draw residues have the same outcome and stats delta,
     and ``_play_trials`` plays each such path once per shard.
@@ -588,9 +588,10 @@ def _collusion_lockstep(sc: AttackScenario, cache, snapshot, squeeze_addrs, targ
 
     It needs the prefix to leave a full cache with no squeezer or victim
     line, squeeze groups of one row of m <= 62 distinct lines (the gone
-    mask is an int64), and rows of the prober, squeezer and victim that
-    share no cell (``_group``'s kernel test): then every miss draws, and
-    a squeeze group starts with none of its lines and alone writes its row.
+    mask is an int64), and groups the kernel plays (``_group``'s test).
+    The cache guarantees that no two rows of a domain share a cell, so
+    on the full cache every miss draws, and a squeeze group starts with
+    none of its lines and alone writes its row.
     """
     prober, squeezer = sc.adversary_domains
     m, p = cache.cfg.num_ways, sc.victim_access_probability

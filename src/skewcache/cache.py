@@ -19,9 +19,11 @@ only in how those cells are laid out:
 
 A domain's row table is kept once per configuration and shared by every
 cache (``_domain_rows``); it lays out a row when the row is first read,
-a skewed one from the domain's ``skew.domain_layout`` slice.
-The physical set reported for flat cell index i is i // ways for every
-kind.
+a skewed one from the domain's ``skew.domain_layout`` slice.  No two
+rows of a domain share a cell: a cache refuses, with a ValueError on
+first use, a skewed domain whose slice is not a per-way bijection, which
+no field layout gives.  The physical set reported for flat cell index i
+is i // ways for every kind.
 
 Lines are tagged (domain, tag) and never shared across domains, so a
 hit requires both to match.  A miss fills the lowest-index invalid
@@ -42,31 +44,25 @@ squeeze) and ``probe_group`` (a probe in order, or, with
 one domain's lines through a row-local kernel: each row of the group is
 scanned once on entry, the lines before the first missing one count as
 hits at once, and after that a hit is a lookup and a miss is one cell
-write and at most one draw.  The kernel needs random replacement,
-distinct lines and a domain whose rows share no cell (a per-way
-bijection, checked once per domain); any other group takes the
-probe-by-probe loop.  ``restore`` flushes the cache and puts back the
-``snapshot`` of the state that steps drawing no random number leave on
-an empty cache, without replaying them; under LRU the snapshot holds
-the stamps and the clock as they are, since both count from the flush.
+write and at most one draw.  The kernel needs random replacement and
+distinct lines; any other group takes the probe-by-probe loop.
+``restore`` flushes the cache and puts back the ``snapshot`` of the
+state that steps drawing no random number leave on an empty cache,
+without replaying them; under LRU the snapshot holds the stamps and the
+clock as they are, since both count from the flush.
 
 One batch loop serves trace replay.  ``play`` accesses a stream of
 ``(domain, op, addr)`` records in order through a line index built on
 entry: a dict from ``(domain, block)`` to the cell that holds the line,
-and per cell the key it is indexed by.  Only the occupied cells are
-visited: a warm line is indexed through the row of its domain that
-holds its cell, which is the cell's set on a conventional cache and,
-on a skewed one, comes from the inverse of the domain's slice (its
-column of the cell's way), with the stacked instance added.  A hit is
-one dict lookup; a miss reads its row only
-for the first free way (while the cache has one) or the LRU ages, and
-a random-replacement miss on a full row draws its victim without
-reading the row.  The index is exact for domains whose rows share no
-cell (``_rows_disjoint``); the first record of any other domain hands
-it and the rest of the stream to ``_play_each``, one ``_access_line``
-a record.  No real field reaches that handoff: only a ring that is not a
-field (the tests' negative control) has a domain whose rows overlap.
-The index loop's hit, first-free-way and victim choices are those of
+and per occupied cell the key it is indexed by.  Only the occupied
+cells are visited: a warm line is indexed through the one row of its
+domain that holds its cell, which is the cell's set on a conventional
+cache and, on a skewed one, comes from the inverse of the domain's
+slice (its column of the cell's way), with the stacked instance added.
+A hit is one dict lookup; a miss reads its row only for the first free
+way (while the cache has one) or the LRU ages, and a random-replacement
+miss on a full row draws its victim without reading the row.  The
+loop's hit, first-free-way and victim choices are those of
 ``_access_line`` in the same way order, so cells, stats, LRU stamps,
 clock and random stream end as an ``access`` per record leaves them;
 ``_access_line`` is its oracle.
@@ -76,7 +72,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -258,11 +254,11 @@ class _Rows(dict):
         self._sets: Optional[list] = None  # cell of an instance -> its set
 
     def row_finder(self, size: int):
-        """A function from a cell of a ``size``-cell cache to the row
-        whose candidate cells hold it, for a domain whose rows share no
-        cell: the cell's set on a conventional cache; on a skewed one, the
-        set that the slice's column of the cell's way maps to the cell's
-        physical set, in the cell's stacked instance."""
+        """A function from a cell of a ``size``-cell cache to the one row
+        whose candidate cells hold it: the cell's set on a conventional
+        cache; on a skewed one, the set that the slice's column of the
+        cell's way maps to the cell's physical set, in the cell's stacked
+        instance."""
         global _layout_cells
         ways, physical = self.ways, self.physical
         if physical is None:
@@ -291,17 +287,18 @@ class _Rows(dict):
         return cand
 
 
-# layout key -> (row table, disjoint); starts over once the slices kept
-# and the rows laid out pass MAX_CELLS cells
-_LAYOUTS: dict[tuple, tuple[_Rows, bool]] = {}
+# layout key -> row table; starts over once the slices kept and the rows
+# laid out pass MAX_CELLS cells
+_LAYOUTS: dict[tuple, _Rows] = {}
 _layout_cells = 0
 
 
-def _domain_rows(cfg: CacheConfig, domain: int) -> tuple[_Rows, bool]:
-    """After the domain's range check, its row table and whether no two
-    rows share a cell, memoized on what the layout reads.  A conventional
-    domain's rows never share one; a skewed domain's share none when its
-    slice is a per-way bijection, which stacked instances repeat."""
+def _domain_rows(cfg: CacheConfig, domain: int) -> _Rows:
+    """After the domain's range check, its row table, memoized on what
+    the layout reads.  A conventional domain's rows never share a cell.
+    A skewed domain's slice must be a per-way bijection, checked
+    exhaustively here, so that its rows share none (stacked instances
+    repeat the slice); a domain whose slice is not raises ValueError."""
     global _layout_cells
     m = cfg.num_domains
     if m is None and domain < 0:
@@ -309,19 +306,19 @@ def _domain_rows(cfg: CacheConfig, domain: int) -> tuple[_Rows, bool]:
     if m is not None and not 0 <= domain < m:
         raise ValueError(f"domain id {domain} out of range for {m} domains")
     key = (cfg.num_sets, cfg.num_ways) if m is None else (cfg.skew, cfg.num_instances, domain)
-    entry = _LAYOUTS.get(key)
-    if entry is None:
+    rows = _LAYOUTS.get(key)
+    if rows is None:
+        physical = None if m is None else domain_layout(cfg.skew, domain)
+        if physical is not None and not _way_bijective(physical).all():
+            raise ValueError(f"domain {domain}'s rows share a cell: its layout "
+                             "slice is not a per-way bijection")
         if _layout_cells > MAX_CELLS:
             _LAYOUTS.clear()
             _layout_cells = 0
-        if m is None:
-            entry = (_Rows(cfg.num_ways), True)
-        else:
-            physical = domain_layout(cfg.skew, domain)
+        if physical is not None:
             _layout_cells += physical.size
-            entry = (_Rows(cfg.num_ways, physical), bool(_way_bijective(physical).all()))
-        _LAYOUTS[key] = entry
-    return entry
+        rows = _LAYOUTS[key] = _Rows(cfg.num_ways, physical)
+    return rows
 
 
 class _BaseCache:
@@ -351,12 +348,8 @@ class _BaseCache:
         """The domain's row table: candidate cells per row index."""
         rows = self._rows.get(domain)
         if rows is None:
-            rows = self._rows[domain] = _domain_rows(self.cfg, domain)[0]
+            rows = self._rows[domain] = _domain_rows(self.cfg, domain)
         return rows
-
-    def _rows_disjoint(self, domain: int) -> bool:
-        """Whether no two rows of the domain share a cell."""
-        return _domain_rows(self.cfg, domain)[1]
 
     def stats(self) -> dict[int, dict[str, int]]:
         return {
@@ -462,67 +455,30 @@ class _BaseCache:
         """Access each ``(domain, op, addr)`` record in order; returns the
         per-domain R/W counts (any op but ``"R"`` counts as a write).
 
-        The batch loop ``trace.replay`` runs: equal to an ``access`` of
-        each record, which stays its oracle.  The records go through the
-        line index (``_play_indexed``) up to the first record of a
-        domain whose rows overlap; that record and the rest go one
-        ``_access_line`` each (``_play_each``).  Records are consumed
-        lazily; a bad record raises the ``ValueError`` of ``access``
-        with the records before it played.
+        The batch loop ``trace.replay`` runs, through the line index
+        (``_line_index``): equal to an ``access`` of each record, which
+        stays its oracle.  Records are consumed lazily; a bad record
+        raises the ``ValueError`` of ``access`` with the records before
+        it played.
         """
-        records = iter(records)
-        ops: dict[int, list[int]] = {}  # domain -> its R/W counts
-        handoff = self._play_indexed(records, ops)
-        if handoff is not None:
-            self._play_each(chain((handoff,), records), ops)
-        return {d: {"reads": counts[0], "writes": counts[1]} for d, counts in ops.items()}
-
-    def _line_index(self) -> tuple[dict, list]:
-        """``play``'s index of the resident lines: ``(domain, block)`` ->
-        cell for each line of a domain whose rows share no cell, and per
-        cell its key (None for a free cell or another domain's line).  A
-        line's block is its tag and the row of its domain holding its
-        cell (``_Rows.row_finder``); only the occupied cells are visited."""
-        cells, span = self._cells, self._span
-        where: dict[tuple, int] = {}
-        held: list[Optional[tuple]] = [None] * len(cells)
-        finders: dict = {}  # domain -> its row finder, None if its rows overlap
-        for idx in compress(range(len(cells)), cells):
-            d, tag = cells[idx]
-            try:
-                row_of = finders[d]
-            except KeyError:
-                row_of = finders[d] = (self._rows_of(d).row_finder(len(cells))
-                                       if self._rows_disjoint(d) else None)
-            if row_of is not None:
-                key = held[idx] = (d, tag * span + row_of(idx))
-                where[key] = idx
-        return where, held
-
-    def _play_indexed(self, records, ops: dict) -> Optional[tuple]:
-        """Play records through the line index, adding their R/W counts
-        to ``ops``; returns the first record of a domain whose rows
-        overlap, unplayed, or None when the records run out."""
         cells = self._cells
         stamps, lru = self._stamps, self._lru
         age = stamps.__getitem__ if lru else None
         draw, ways, off, span = self.rng.getrandbits, self._ways, self._off, self._span
         where, held = self._line_index()
         free = cells.count(None)
+        ops: dict[int, list[int]] = {}  # domain -> its R/W counts
         seen: dict[int, tuple] = {}  # domain -> its row table, stats and R/W counts
         clock = self._clock
         try:
             # stats slots _HITS.._SELF_EVICTIONS as literals 0..3, as in _access_line
-            for rec in records:
-                domain, op, addr = rec
+            for domain, op, addr in records:
                 if addr < 0:
                     raise ValueError("addresses are unsigned")
                 mine = seen.get(domain)
                 if mine is None:
-                    rows = self._rows_of(domain)
-                    if not self._rows_disjoint(domain):
-                        return rec
-                    mine = seen[domain] = (rows, self._stats.setdefault(domain, [0, 0, 0, 0]),
+                    mine = seen[domain] = (self._rows_of(domain),
+                                           self._stats.setdefault(domain, [0, 0, 0, 0]),
                                            ops.setdefault(domain, [0, 0]))
                 rows, stats, counts = mine
                 counts[op != "R"] += 1
@@ -547,9 +503,7 @@ class _BaseCache:
                     idx = min(cand, key=age) if lru else cand[draw(64) % ways]
                     victim = cells[idx]
                     stats[3 if victim[0] == domain else 2] += 1
-                    evicted = held[idx]
-                    if evicted is not None:
-                        del where[evicted]
+                    del where[held[idx]]
                 cells[idx] = (domain, block // span)
                 where[key] = idx
                 held[idx] = key
@@ -558,18 +512,26 @@ class _BaseCache:
                     stamps[idx] = clock
         finally:
             self._clock = clock
-        return None
+        return {d: {"reads": counts[0], "writes": counts[1]} for d, counts in ops.items()}
 
-    def _play_each(self, records, ops: dict) -> None:
-        """Play records one ``_access_line`` each, as ``access`` does,
-        adding their R/W counts to ``ops``."""
-        off, span, access = self._off, self._span, self._access_line
-        for domain, op, addr in records:
-            if addr < 0:
-                raise ValueError("addresses are unsigned")
-            block = addr >> off
-            access(domain, block % span, block // span)
-            ops.setdefault(domain, [0, 0])[op != "R"] += 1
+    def _line_index(self) -> tuple[dict, list]:
+        """``play``'s index of the resident lines: ``(domain, block)`` ->
+        cell, and per occupied cell the key it is indexed by.  A line's
+        block is its tag and the row of its domain holding its cell
+        (``_Rows.row_finder``); only the occupied cells are visited."""
+        cells, span = self._cells, self._span
+        where: dict[tuple, int] = {}
+        held: list[Optional[tuple]] = [None] * len(cells)
+        finders: dict = {}  # domain -> its row finder
+        for idx in compress(range(len(cells)), cells):
+            d, tag = cells[idx]
+            try:
+                row_of = finders[d]
+            except KeyError:
+                row_of = finders[d] = self._rows_of(d).row_finder(len(cells))
+            key = held[idx] = (d, tag * span + row_of(idx))
+            where[key] = idx
+        return where, held
 
     def fill_group(self, domain: int, addrs, max_rounds: int = 4096) -> int:
         """Access each address once, then probe the group in passes until
@@ -611,8 +573,7 @@ class _BaseCache:
             block = a >> off
             lines.append((block % span, block // span))
         lines = tuple(lines)
-        if (not lines or self._lru or len(set(lines)) < len(lines)
-                or not self._rows_disjoint(domain)):
+        if not lines or self._lru or len(set(lines)) < len(lines):
             return _Group(lines, False)
         slot_of: dict[int, int] = {}
         rows, keys, cands, slots = [], [], [], []

@@ -384,9 +384,8 @@ class TestStacked:
 
 # The group kernels against the probe-by-probe oracle: GF(2^2..2^4) and
 # GF(5) layouts, a stacked cache, conventional caches under both
-# replacements, and mod-4 rings whose a=1 layout is a per-way bijection
-# (the kernel plays it) and whose a=2 layout is not, so a domain's rows
-# overlap and a line can be hit through another row (the loop plays it).
+# replacements, and the mod-4 ring with a=1, not a field, whose layout is
+# still a per-way bijection (a cache refuses the a=2 one, TestRefusal).
 FILL_CONFIGS = [
     galois_config(SkewParams(FieldSpec.binary(2))),
     galois_config(SkewParams(FieldSpec.binary(3), a=3, b=5, c=6)),
@@ -398,7 +397,6 @@ FILL_CONFIGS = [
     conventional_config(4, 4, "lru"),
     conventional_config(2, 3, "lru"),
     galois_config(SkewParams(BrokenModularRing(p=2, n=2, modulus=0b111), a=1)),
-    galois_config(SkewParams(BrokenModularRing(p=2, n=2, modulus=0b111), a=2)),
 ]
 GF4_CFG = FILL_CONFIGS[0]
 
@@ -512,11 +510,10 @@ class TestFillGroup:
     @pytest.mark.parametrize("cfg,tags,kernel", [
         (GF4_CFG, (0, 1, 2), True),
         (conventional_config(4, 4, "random"), (0, 1, 2), True),
-        (FILL_CONFIGS[-2], (0, 1, 2), True),  # mod-4 ring, a=1
+        (FILL_CONFIGS[-1], (0, 1, 2), True),  # mod-4 ring, a=1
         (conventional_config(4, 4, "lru"), (0, 1, 2), False),
         (GF4_CFG, (0, 1, 0), False),  # a repeated line
-        (FILL_CONFIGS[-1], (0, 1, 2), False),  # mod-4 ring, a=2
-    ], ids=["galois", "random", "ring-a1", "lru", "repeated", "ring-a2"])
+    ], ids=["galois", "random", "ring-a1", "lru", "repeated"])
     def test_kernel_preconditions(self, cfg, tags, kernel):
         cache = build_cache(cfg)
         assert cache._group(1, [compose_address(cfg, 1, t) for t in tags]).kernel == kernel
@@ -600,8 +597,7 @@ class TestProbeGroup:
 
 # replay's batch loop (``play``) against an ``access`` per record:
 # GF(4), GF(5) and GF(8), conventional caches under both replacements,
-# one-way ones among them, stacked k=1 and k=2, and the mod-4 ring with
-# a=2, whose rows overlap (every domain's: its records go to _play_each).
+# one-way ones among them, and stacked k=1 and k=2.
 REPLAY_CONFIGS = [
     GF4_CFG,
     galois_config(SkewParams(FieldSpec.prime(5))),
@@ -612,7 +608,6 @@ REPLAY_CONFIGS = [
     conventional_config(4, 1, "random"),
     stacked_config(SkewParams(FieldSpec.prime(3)), stack_bits=1),
     stacked_config(SP4, stack_bits=2),
-    FILL_CONFIGS[-1],
 ]
 
 
@@ -673,19 +668,8 @@ def _access_each(cache, records, ops):
     return None
 
 
-def _claim_overlap(cache, domain):
-    """A test double: ``cache`` with ``_rows_disjoint`` False for
-    ``domain``, as if its rows overlapped.  Returns the list the calls
-    of the per-record loop ``_play_each`` are logged to."""
-    disjoint, each = cache._rows_disjoint, cache._play_each
-    handoffs = []
-    cache._rows_disjoint = lambda d: d != domain and disjoint(d)
-    cache._play_each = lambda records, ops: handoffs.append(ops) or each(records, ops)
-    return handoffs
-
-
-# GF(4) full of domain 1, which the double claims overlaps: domain 0's
-# misses evict lines the index does not hold, and no record hands off
+# GF(4) full of domain 1, none of whose lines the records touch: domain
+# 0's misses evict lines indexed only from their cells, not from a record
 EVICTS_UNINDEXED_LINE = (GF4_CFG, 0, (True, []),
                          [(0, "R", _addr(GF4_CFG, 0, 0)), (0, "W", _addr(GF4_CFG, 1, 0))],
                          0, False)
@@ -694,6 +678,7 @@ EVICTS_UNINDEXED_LINE = (GF4_CFG, 0, (True, []),
 class TestReplay:
     @ORACLE_SETTINGS
     @given(case=replay_cases())
+    @example(case=EVICTS_UNINDEXED_LINE)
     def test_replay_matches_access_oracle(self, case):
         _, _, _, records, split, bad = case
         player, split_player, oracle = _replay_caches(case, 3)
@@ -720,30 +705,6 @@ class TestReplay:
             assert str(exc.value) == error
         assert _cache_state(player) == _cache_state(oracle)
 
-    @ORACLE_SETTINGS
-    @given(case=replay_cases(), overlap=st.integers(0, 3))
-    @example(case=EVICTS_UNINDEXED_LINE, overlap=1)
-    def test_handoff_matches_access_oracle(self, case, overlap):
-        """The first record of a domain whose rows overlap hands it and
-        the rest to ``_play_each``, mid-stream; the double makes one
-        domain of any cache such a domain."""
-        records = case[3]
-        player, oracle = _replay_caches(case)
-        handoffs = _claim_overlap(player, overlap)
-        expected = {}
-        error = _access_each(oracle, records, expected)
-        if error is None:
-            assert replay(player, iter(records)) == expected
-        else:
-            with pytest.raises(ValueError) as exc:
-                replay(player, iter(records))
-            assert str(exc.value) == error
-        assert _cache_state(player) == _cache_state(oracle)
-        played = sum(row["reads"] + row["writes"] for row in expected.values())
-        handoff = any(d == overlap or not oracle._rows_disjoint(d)
-                      for d, _, _ in records[:played])
-        assert len(handoffs) == handoff
-
     def test_gf257_play_matches_access_oracle(self):
         """A galois cache past layout_table's m^3 cap lays its rows out
         from the m^2 layout slice: a mixed stream over three domains,
@@ -764,15 +725,7 @@ class TestReplay:
         assert _cache_state(player) == _cache_state(oracle)
         assert player.stats()[0]["self_evictions"]
 
-    def test_unindexed_line_example_evicts(self):
-        player = _replay_caches(EVICTS_UNINDEXED_LINE)[0]
-        handoffs = _claim_overlap(player, 1)
-        replay(player, iter(EVICTS_UNINDEXED_LINE[3]))
-        assert handoffs == []
-        assert player.stats()[0]["evictions_caused"] == 2
-
-    # the ring's rows cover only some cells, and its records hand off at once
-    @pytest.mark.parametrize("cfg", REPLAY_CONFIGS[:-1], ids=str)
+    @pytest.mark.parametrize("cfg", REPLAY_CONFIGS, ids=str)
     def test_filling_replay_matches_access_oracle(self, cfg):
         """A stream that fills every free cell mid-call, then evicts,
         from a warm start."""
@@ -793,29 +746,105 @@ class TestReplay:
                    for row in player.stats().values()) > 0
 
 
-class TestRowsDisjoint:
-    """The kernel's per-domain precondition is the per-way bijection."""
+class _PlusThreeCollapses(BrokenModularRing):
+    """The mod-4 ring with x + 3 = 3 for every x: a domain's way w is not
+    a bijection where (b*t)*w is 3, so with b=1 domains 1 and 3 are
+    refused and domains 0 and 2 are not."""
 
-    RING = BrokenModularRing(p=2, n=2, modulus=0b111)
+    def add(self, x, y):
+        return 3 if y == 3 else super().add(x, y)
+
+
+_RING = BrokenModularRing(p=2, n=2, modulus=0b111)
+_MIXED = SkewParams(_PlusThreeCollapses(p=2, n=2, modulus=0b111))
+
+
+def _refusal(domain):
+    return pytest.raises(ValueError, match=f"domain {domain}'s rows share a cell")
+
+
+class TestRefusal:
+    """A cache refuses, on first use, a skewed domain whose layout slice
+    is not a per-way bijection, so no two rows of a domain share a cell."""
 
     @pytest.mark.parametrize("sp", [
         *(SkewParams(f) for f in small_fields(16)),
         SkewParams(FieldSpec.binary(3), a=3, b=5, c=6),
-        SkewParams(RING, a=1),
-        SkewParams(RING, a=2),
+        SkewParams(_RING, a=1),
+        SkewParams(_RING, a=2),
+        _MIXED,
     ], ids=repr)
-    def test_agrees_with_way_bijection(self, sp):
+    def test_refuses_the_domains_way_bijection_flags(self, sp, monkeypatch):
+        monkeypatch.setattr(cache_module, "_LAYOUTS", {})
+        monkeypatch.setattr(cache_module, "_layout_cells", 0)
         m = sp.field.order
         broken = {v["t"] for v in verify_way_bijection(sp).violations}
+        assert broken == ({0, 1, 2, 3} if sp == SkewParams(_RING, a=2)
+                          else {1, 3} if sp is _MIXED else set())
         for cfg in (galois_config(sp), stacked_config(sp, stack_bits=1)):
-            cache = build_cache(cfg)
-            assert [cache._rows_disjoint(t) for t in range(m)] == [
-                t not in broken for t in range(m)]
-        assert bool(broken) == (sp.a == 2 and sp.field is self.RING)
+            cache = build_cache(cfg, 5)
+            for t in range(m):
+                addrs = [_addr(cfg, 1, tag) for tag in range(m)]
+                if t in broken:
+                    before = _cache_state(cache)
+                    for use in (lambda: cache.access(t, addrs[0]),
+                                lambda: cache.probe_group(t, addrs),
+                                lambda: cache.probe_group(t, addrs, stop_at_miss=True),
+                                lambda: cache.fill_group(t, addrs),
+                                lambda: replay(cache, iter([(t, "R", addrs[0])]))):
+                        with _refusal(t):
+                            use()
+                    assert _cache_state(cache) == before
+                    assert t not in cache._rows
+                else:
+                    assert cache.fill_group(t, addrs) >= 1
+                    assert cache.probe_group(t, addrs) == [True] * m
+                    assert replay(cache, iter([(t, "R", a) for a in addrs])) == {
+                        t: {"reads": m, "writes": 0}}
+                    assert cache.access(t, addrs[0]).hit
+            # a refused slice is neither kept nor counted
+            kept = {key[2] for key in cache_module._LAYOUTS if key[1] == cfg.num_instances}
+            assert kept == set(range(m)) - broken
+        # each kept slice, the rows laid out and the row finders built
+        assert cache_module._layout_cells == sum(
+            m * m * (1 + (rows._sets is not None)) + m * len(rows)
+            for rows in cache_module._LAYOUTS.values())
 
-    def test_conventional_rows_disjoint(self):
-        cache = build_cache(conventional_config(4, 4, "random"))
-        assert cache._rows_disjoint(0) and cache._rows_disjoint(7)
+    @pytest.mark.parametrize("cfg", [galois_config(_MIXED), stacked_config(_MIXED, stack_bits=1)],
+                             ids=["galois", "stacked"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_replay_stops_at_refused_domain_like_access_oracle(self, cfg, seed):
+        """A stream raises at its first record of a refused domain, with
+        the records before it played, as an ``access`` per record does."""
+        rng = random.Random(seed)
+        rows = cfg.num_sets * cfg.num_instances
+
+        def record(domains):
+            return (rng.choice(domains), rng.choice("RW"),
+                    _addr(cfg, rng.randrange(rows), rng.randrange(6)))
+
+        played = [record((0, 2)) for _ in range(rng.randrange(1, 40))]
+        records = played + [record((1, 3))] + [record((0, 1, 2, 3)) for _ in range(20)]
+        player, oracle = build_cache(cfg, seed), build_cache(cfg, seed)
+        error = _access_each(oracle, records, {})
+        assert error is not None and "rows share a cell" in error
+        with pytest.raises(ValueError) as exc:
+            replay(player, iter(records))
+        assert str(exc.value) == error
+        assert _cache_state(player) == _cache_state(oracle)
+        assert sorted(player.stats()) == sorted({d for d, _, _ in played})
+
+    @pytest.mark.parametrize("replacement", ["random", "lru"])
+    def test_conventional_takes_any_domain(self, replacement):
+        cfg = conventional_config(4, 4, replacement)
+        cache = build_cache(cfg)
+        addrs = [_addr(cfg, 1, tag) for tag in range(4)]
+        for d in (0, 7, 2 ** 40):
+            assert cache.fill_group(d, addrs) >= 1
+            assert cache.probe_group(d, addrs) == [True] * 4
+            assert replay(cache, iter([(d, "W", a) for a in addrs])) == {
+                d: {"reads": 0, "writes": 4}}
+        assert cache._rows_of(0) is cache._rows_of(2 ** 40)
 
 
 class _CountingField(FieldSpec):
@@ -889,9 +918,8 @@ class TestSharedRows:
             assert sorted(rows) == sorted(set(reads))
             assert cache_module._layout_cells == slices + ways * len(set(reads))
             # and back: each cell of a row read is found in that row
-            if build_cache(cfg)._rows_disjoint(domain):
-                row_of = rows.row_finder(sets * ways * cfg.num_instances)
-                assert all(row_of(idx) == r for r in reads for idx in rows[r])
+            row_of = rows.row_finder(sets * ways * cfg.num_instances)
+            assert all(row_of(idx) == r for r in reads for idx in rows[r])
 
     def test_rows_laid_out_on_first_touch(self, monkeypatch):
         monkeypatch.setattr(cache_module, "_LAYOUTS", {})

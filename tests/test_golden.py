@@ -55,6 +55,9 @@ CASES = {
     "attack_galois_pp_gf5.json": f"attack galois-pp --p 5 --n 1 --trials 2000 {ATTACK}",
     # GF(64): most probes hit deep into the primed set before any miss
     "attack_galois_pp_n6.json": f"attack galois-pp --n 6 --trials 1000 {ATTACK}",
+    # GF(64): squeeze groups of 64 lines, past the lockstep engine's
+    # 62-bit gone mask, so the squeeze takes fill_group's scalar kernel
+    "attack_collusion_n6.json": f"attack collusion --n 6 --trials 100 {ATTACK}",
 }
 # golden report file: golden trial log written by the same run
 TRIAL_LOGS = {
@@ -89,6 +92,20 @@ def test_report_matches_golden(report, tmp_path, monkeypatch):
     assert_matches_golden(report, tmp_path / report)
     if log:
         assert_matches_golden(log, tmp_path / log)
+
+
+def _golden_command(report: str) -> str:
+    line = f"skewcache {CASES[report]} --no-timestamp --output tests/golden/{report}"
+    log = TRIAL_LOGS.get(report)
+    return f"{line} --trial-log tests/golden/{log}" if log else line
+
+
+def test_readme_lists_every_golden_command():
+    """README's golden list is the commands above, one a line, in order."""
+    readme = (ROOT / "README.md").read_text()
+    listed = [line for line in readme.splitlines()
+              if line.startswith("skewcache ") and " --output tests/golden/" in line]
+    assert listed == [_golden_command(report) for report in CASES]
 
 
 def test_golden_files_all_checked():
