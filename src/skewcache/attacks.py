@@ -29,11 +29,12 @@ steered only by the cache and the victim's activity, so a trial's
 outcome and stats delta follow from its activity and the residues of
 its draws, each ``getrandbits(64) % ways``.  Each shard keeps, per
 activity value, a tree keyed by those residues, whose leaves hold an
-outcome, a stats delta and a reuse count.  Baseline prime-probe under
-LRU draws in no trial (a leaf at the root), galois-pp once or twice
-when the victim is active (its fill, and the refill of its probe's
-miss, evict at random: at most 2m - 1 paths), collusion 150 or more
-times (its squeeze), past the depth cap.
+outcome, a stats delta and a reuse count.  A shard of ``MIN_STREAM_TRIALS``
+or more takes its coins and first draws, bit for bit, from numpy
+(``_seeded_draws``).  Baseline prime-probe under LRU draws in no trial (a
+leaf at the root), galois-pp once or twice when the victim is active (its
+fill, and the refill of its probe's miss, evict at random: at most 2m - 1
+paths), collusion 150 or more times (its squeeze), past the depth cap.
 
 So collusion's trials are not played one by one through the cache.
 Its runner hands the trial driver a batch player, ``_collusion_lockstep``,
@@ -82,6 +83,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field as dc_field
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -103,6 +105,11 @@ _TARGET_TAG = 0x2FFFF
 MIN_SHARD_TRIALS = 256
 
 _MEMO_DEPTH = 4  # the longest draw path the trial memo keeps
+
+#: The fewest trials a shard seeds in numpy (``_seeded_draws``, 9.4k ufunc
+#: calls at any size): on a 2-core x86-64 VM, it drew even with 8-12 us
+#: reseeds near 1,000-1,100 trials, alone or two shards at once.
+MIN_STREAM_TRIALS = 1500
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -227,6 +234,61 @@ def _trial_active(rng: random.Random, probability: float) -> bool:
     return rng.random() < probability
 
 
+_MT_INIT = tuple(accumulate(range(1, 624), lambda x, i: (1812433253 * (x ^ x >> 30) + i)
+                            & 0xFFFFFFFF, initial=19650218))  # init_genrand(19650218)
+
+
+def _seeded_draws(seed: int, count: int, coin: bool):
+    """Trials ``seed`` to ``seed + count - 1``: ``Random(s).random()`` of
+    each (None without ``coin``) and its next ``_MEMO_DEPTH`` ``getrandbits(64)``,
+    a (count, depth) uint64 array; None for a block reaching 2**32 (two words).
+
+    ``Random.seed``'s MT19937 ``init_by_array`` (Matsumoto and Nishimura,
+    1998) in a uint32 lane a trial, five in-place ufunc calls a step.  Step
+    i of its second loop reads word i as the first loop left it, so the first
+    loop runs again beside it: a lane holds a few words, never 624."""
+    if seed + count > 1 << 32:
+        return None
+    words = 2 * _MEMO_DEPTH + 2 * coin  # random() takes two, each 64-bit draw two
+    key = np.arange(seed, seed + count, dtype=np.uint32)
+    f, t, s, u, first = (np.empty(count, np.uint32) for _ in range(5))
+    low, high = np.empty((words + 1, count), np.uint32), np.empty((words, count), np.uint32)
+
+    def step(x, out, mult, mix, plus):  # out = (mix ^ (x ^ x >> 30) * mult) + plus
+        np.right_shift(x, 30, out)
+        np.bitwise_xor(out, x, out)
+        np.multiply(out, mult, out)
+        np.bitwise_xor(out, mix, out)
+        np.add(out, plus, out)
+
+    f.fill(_MT_INIT[0])
+    for i in range(1, 624):  # the first loop
+        step(f, t, 1664525, _MT_INIT[i], key)
+        f, t = t, f
+        if i == 1:
+            first[:] = f
+    step(f, s, 1664525, first, key)  # its last step: i = 1 again, after mt[0] = mt[623]
+    f, first = first, s.copy()
+    for i in range(2, 624):  # the second loop, beside the first again
+        step(f, t, 1664525, _MT_INIT[i], key)
+        f, t = t, f
+        step(s, u, 1566083941, f, -i & 0xFFFFFFFF)
+        s, u = u, s
+        if i <= words or 397 <= i < 397 + words:
+            (low[i] if i <= words else high[i - 397])[:] = s
+    step(s, low[1], 1566083941, first, 0xFFFFFFFF)  # its last step, likewise
+    low[0] = 0x80000000  # then the first twist's words 0 to words - 1, tempered
+    y = low[:-1] & 0x80000000 | low[1:] & 0x7FFFFFFF
+    w = high ^ y >> 1 ^ (y & 1) * 0x9908B0DF
+    w ^= w >> 11
+    w ^= w << 7 & 0x9D2C5680
+    w ^= w << 15 & 0xEFC60000
+    w ^= w >> 18
+    coins = ((w[0] >> 5) * 67108864.0 + (w[1] >> 6)) / 9007199254740992.0 if coin else None
+    w = w[2 * coin:].astype(np.uint64)
+    return coins, (w[0::2] | w[1::2] << 32).T  # a 64-bit draw takes its low word first
+
+
 def _prefix_snapshot(sc: AttackScenario, prefix):
     """The state ``prefix`` leaves on a new cache, for every trial to
     restore; a prefix that draws a random number is refused."""
@@ -259,6 +321,8 @@ def _play_trials(sc: AttackScenario, cache, snapshot, protocol, value_key: Optio
     it reseeds and plays with its draws recorded, and adds their path
     unless the stream moved by more, the path is past ``_MEMO_DEPTH`` or
     the shard holds ways² leaves: then the value is played from then on.
+    From its first trial that would reseed to walk, a shard of enough
+    trials takes coins and draws from ``_seeded_draws`` and reseeds to play.
     """
     p = sc.victim_access_probability
     coin_draws = 0.0 < p < 1.0
@@ -269,20 +333,34 @@ def _play_trials(sc: AttackScenario, cache, snapshot, protocol, value_key: Optio
     # from draw % ways to subtrees, or None once the value is played
     memo: dict = {}
     leaves: list[list] = []
+    start = streams = None  # from trial start on, the activities and residues numpy drew
     for trial in range(first, stop):
-        if coin_draws:
-            cache.reseed(sc.seed + trial)
-        active = _trial_active(cache.rng, p)
-        node = memo.get(active, ())
-        if type(node) is not list and not coin_draws:
-            cache.reseed(sc.seed + trial)
-        if type(node) is dict:
-            draw = cache.rng.getrandbits
-            while type(node) is dict:
-                node = node.get(draw(64) % ways, ())
-            if type(node) is tuple:  # off the tree: rewind to just past the coin
+        if start is None and (coin_draws or type(memo.get(p >= 1.0)) is dict):
+            start = trial  # the first trial that would reseed to walk
+            if stop - trial >= MIN_STREAM_TRIALS:
+                streams = _seeded_draws(sc.seed + trial, stop - trial, coin_draws)
+            if streams is not None:
+                coins, draws = streams
+                actives = (coins < p).tolist() if coin_draws else [p >= 1.0] * len(draws)
+                streams = list(zip(actives, map(iter, (draws % ways).tolist())))
+        if streams is not None:  # seeded: the cache's stream is just past the coin
+            (active, residues), seeded = streams[trial - start], False
+        else:
+            if coin_draws:
                 cache.reseed(sc.seed + trial)
-                _trial_active(cache.rng, p)
+            active, residues, seeded = _trial_active(cache.rng, p), None, coin_draws
+        node = memo.get(active, ())
+        if type(node) is dict:
+            if residues is None:
+                if not seeded:
+                    cache.reseed(sc.seed + trial)
+                residues = (cache.rng.getrandbits(64) % ways for _ in range(_MEMO_DEPTH))
+            while type(node) is dict:
+                node = node.get(next(residues), ())
+            seeded = False
+        if type(node) is not list and not seeded:  # to be played: rewind to past the coin
+            cache.reseed(sc.seed + trial)
+            _trial_active(cache.rng, p)
         if type(node) is list:
             node[2] += 1
             detected, correct, value = node[0]

@@ -565,6 +565,7 @@ class _BaseCache:
         return group
 
     def _decode_group(self, domain: int, addrs: tuple) -> _Group:
+        rows_of = self._rows_of(domain)  # the domain's range and refusal, whatever addrs is
         off, span = self._off, self._span
         lines = []
         for a in addrs:
@@ -578,7 +579,7 @@ class _BaseCache:
         slot_of: dict[int, int] = {}
         rows, keys, cands, slots = [], [], [], []
         for j, (row, tag) in enumerate(lines):
-            cand = self._rows_of(domain)[row]
+            cand = rows_of[row]
             if row not in slot_of:
                 slot_of[row] = len(rows)
                 rows.append((cand, {}))

@@ -19,8 +19,9 @@ Two callers share the runner:
   prefix into a flushed cache, whose LRU clock restarts at 0, and the
   cache holds nothing yet when the children fork.  Each shard keeps its
   own trial memo: it plays its first trial of each activity value and
-  draw path, so a trial has the same outcome and stats delta in every
-  shard, and a shard's stats count each memoized trial once.
+  draw path, drawn in numpy or from a reseed, the same stream, so a trial
+  has the same outcome and stats delta in every shard, and a shard's
+  stats count each memoized trial once.
   Collusion's shards play every trial, in lockstep blocks
   (``attacks._collusion_lockstep``): each trial draws from its own
   ``Random(seed + trial)`` and starts from the prefix's cells, so it

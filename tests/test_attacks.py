@@ -8,8 +8,10 @@ can and cannot infer, and that everything replays bit-identically.
 import dataclasses
 import functools
 import json
+import math
 import os
 import pathlib
+import random
 import tempfile
 import time
 from unittest import mock
@@ -601,6 +603,38 @@ def _memo_examples(test):
     return test
 
 
+class TestSeededDraws:
+    @settings(max_examples=max(100, settings().max_examples), deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 64), coin=st.booleans(),
+           ways=st.integers(1, 64))
+    @example(seed=0, count=1, coin=True, ways=4)
+    @example(seed=1, count=5, coin=False, ways=5)
+    @example(seed=2**32 - 1, count=1, coin=True, ways=8)
+    @example(seed=2**32 - 3, count=4, coin=False, ways=8)
+    def test_seeded_draws_match_random_oracle(self, seed, count, coin, ways):
+        """Each trial's coin and first 64-bit draws, and their residues,
+        are ``Random(seed + k)``'s; a block that reaches 2^32 is declined."""
+        assert attacks._seeded_draws(2**32 - count + 1, count, coin) is None
+        got = attacks._seeded_draws(seed, count, coin)
+        if seed + count > 2**32:
+            assert got is None
+            return
+        coins, draws = got
+        assert draws.shape == (count, attacks._MEMO_DEPTH)
+        assert (coins is None) != coin
+        for k in range(count):
+            rng = random.Random(seed + k)
+            if coin:
+                assert coins[k] == rng.random()
+            words = [rng.getrandbits(64) for _ in range(attacks._MEMO_DEPTH)]
+            assert draws[k].tolist() == words
+            assert (draws[k] % ways).tolist() == [w % ways for w in words]
+
+
+# MIN_STREAM_TRIALS: numpy seeds every shard's trials, or none
+STREAM_SOURCES = (1, math.inf)
+
+
 class TestTrialMemo:
     @settings(max_examples=max(100, settings().max_examples), deadline=None)
     @given(sc=memo_scenarios(), count=st.integers(1, 3))
@@ -610,10 +644,12 @@ class TestTrialMemo:
         with pytest.MonkeyPatch.context() as patch:
             _scalar(patch)
             patch.setattr(shards, "_shard_count", lambda work, min_work: count)
-            for play in (attacks._play_trials, play_every_trial):
-                patch.setattr(attacks, "_play_trials", play)
+            for least in STREAM_SOURCES:
+                patch.setattr(attacks, "MIN_STREAM_TRIALS", least)
                 outcomes.append(_outcome(run_scenario(sc)))
-        assert outcomes[0] == outcomes[1]
+            patch.setattr(attacks, "_play_trials", play_every_trial)
+            outcomes.append(_outcome(run_scenario(sc)))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
         r = outcomes[0][0]
         assert (r["true_positives"] + r["false_positives"] + r["false_negatives"]
                 + r["true_negatives"]) == sc.trials
@@ -623,13 +659,16 @@ class TestTrialMemo:
     @given(sc=memo_scenarios(), count=st.integers(1, 3))
     @_memo_examples
     def test_trial_memo_plays_each_oracle_draw_path_once_a_shard(self, sc, count):
+        played = []
         with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
             _scalar(patch)
             patch.setattr(shards, "_shard_count", lambda work, min_work: count)
             restores = _counting(patch, pathlib.Path(tmp), "restore")
-            run_scenario(sc)
-            played = restores()
-        assert played == _played(sc, count)
+            for least in STREAM_SOURCES:
+                patch.setattr(attacks, "MIN_STREAM_TRIALS", least)
+                run_scenario(sc)
+                played.append(restores() - sum(played))
+        assert played == [_played(sc, count)] * len(STREAM_SOURCES)
         no_child_left()
 
     # draws the tree cannot be keyed by: one past the recorder, one
@@ -666,11 +705,19 @@ class TestTrialMemo:
         reseeds = _counting(monkeypatch, tmp_path, "reseed")
         report = run_scenario(sc)
         assert restores() == 2 * count
-        assert reseeds() == sc.trials  # the coin's
+        # shards of 3,333 trials or more: numpy seeds them, and only a
+        # played trial reseeds the cache
+        assert reseeds() == 2 * count
         assert 0 < report.true_positives < sc.trials
+        with monkeypatch.context() as patch:
+            patch.setattr(attacks, "MIN_STREAM_TRIALS", math.inf)
+            assert _outcome(run_scenario(sc)) == _outcome(report)
+        assert restores() == 4 * count
+        assert reseeds() == 2 * count + sc.trials  # per trial, the coin's
         sc = dataclasses.replace(sc, victim_access_probability=1.0)
         report = run_scenario(sc)
-        assert reseeds() == sc.trials + count  # no coin: only a played trial reseeds
+        # no coin: only a played trial reseeds, and no trial walks
+        assert reseeds() == 2 * count + sc.trials + count
         assert report.true_positives == sc.trials
 
     @pytest.mark.parametrize("count", [1, 3])

@@ -846,6 +846,20 @@ class TestRefusal:
                 d: {"reads": 0, "writes": 4}}
         assert cache._rows_of(0) is cache._rows_of(2 ** 40)
 
+    @pytest.mark.parametrize("method", ["fill_group", "probe_group"])
+    @pytest.mark.parametrize("sp,domain,message", [
+        (SkewParams(FieldSpec.binary(2)), 99, "domain id 99 out of range for 4 domains"),
+        (SkewParams(FieldSpec.binary(2)), -1, "domain id -1 out of range for 4 domains"),
+        (SkewParams(_RING, a=2), 0, "domain 0's rows share a cell"),
+    ], ids=["out-of-range", "negative", "refused"])
+    @pytest.mark.parametrize("addrs", [[], [-1]], ids=["no-address", "bad-address"])
+    def test_group_checks_the_domain_first(self, method, sp, domain, message, addrs):
+        cache = build_cache(galois_config(sp))
+        with pytest.raises(ValueError, match=message):
+            getattr(cache, method)(domain, addrs)
+        assert _cache_state(cache) == _cache_state(build_cache(galois_config(sp)))
+        assert build_cache(galois_config(SkewParams(FieldSpec.binary(2)))).fill_group(3, []) == 1
+
 
 class _CountingField(FieldSpec):
     """A field that counts each call of its arithmetic."""

@@ -58,6 +58,13 @@ CASES = {
     # GF(64): squeeze groups of 64 lines, past the lockstep engine's
     # 62-bit gone mask, so the squeeze takes fill_group's scalar kernel
     "attack_collusion_n6.json": f"attack collusion --n 6 --trials 100 {ATTACK}",
+    # 3,500 trials a shard on two CPUs, 7,000 on one: past MIN_STREAM_TRIALS,
+    # so each shard seeds its trials in numpy
+    "attack_galois_pp_n4.json": f"attack galois-pp --n 4 --trials 7000 {ATTACK}",
+    # seeds 2^32 - 5,000 to 2^32 + 4,999: a shard whose seeds reach 2^32
+    # (a two-word key) reseeds trial by trial
+    "attack_baseline_pp_2p32.json":
+        "attack baseline-pp --trials 10000 --seed 4294962296 --victim-prob 0.5",
 }
 # golden report file: golden trial log written by the same run
 TRIAL_LOGS = {
