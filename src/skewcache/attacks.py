@@ -42,7 +42,8 @@ which plays a shard's trials together in blocks: one numpy step per
 draw for all the block's trials, each trial's draws taken from its own
 ``Random(seed + trial)`` in one ``getrandbits`` call.  Its reports and
 trial rows are byte for byte those of the scalar loop, which stays its
-oracle and plays any run the engine does not fit.
+oracle and plays any run the engine does not fit, and any shard of
+fewer than ``MIN_LOCKSTEP_TRIALS`` trials, which it plays faster.
 
 The probes and collusion's squeeze are groups of one domain's lines,
 which the cache runs through its row-local kernel: each row is scanned
@@ -333,18 +334,22 @@ def _play_trials(sc: AttackScenario, cache, snapshot, protocol, value_key: Optio
     # from draw % ways to subtrees, or None once the value is played
     memo: dict = {}
     leaves: list[list] = []
-    start = streams = None  # from trial start on, the activities and residues numpy drew
+    # from trial start on, as numpy drew them: the activities, and one
+    # flat list of residues, _MEMO_DEPTH a trial
+    start = actives = stream = None
     for trial in range(first, stop):
         if start is None and (coin_draws or type(memo.get(p >= 1.0)) is dict):
             start = trial  # the first trial that would reseed to walk
-            if stop - trial >= MIN_STREAM_TRIALS:
-                streams = _seeded_draws(sc.seed + trial, stop - trial, coin_draws)
+            streams = (_seeded_draws(sc.seed + trial, stop - trial, coin_draws)
+                       if stop - trial >= MIN_STREAM_TRIALS else None)
             if streams is not None:
                 coins, draws = streams
                 actives = (coins < p).tolist() if coin_draws else [p >= 1.0] * len(draws)
-                streams = list(zip(actives, map(iter, (draws % ways).tolist())))
-        if streams is not None:  # seeded: the cache's stream is just past the coin
-            (active, residues), seeded = streams[trial - start], False
+                stream = (draws % ways).ravel().tolist()
+        if actives is not None:  # seeded: the cache's stream is just past the coin
+            k = trial - start
+            active, seeded = actives[k], False
+            residues = iter(stream[k * _MEMO_DEPTH:(k + 1) * _MEMO_DEPTH])
         else:
             if coin_draws:
                 cache.reseed(sc.seed + trial)
@@ -441,16 +446,18 @@ def _run_trials(sc: AttackScenario, protocol, definition: str, prefix,
 
     ``batch(cache, snapshot)``, if given, is asked once per run for a
     player of whole shards, ``play(first, stop)`` with ``_play_trials``'
-    results; where it returns None, the shards take ``_play_trials``.
+    results; where it returns None, or its player returns None for a
+    shard, the shards take ``_play_trials``.
     """
     cache = build_cache(sc.cache, sc.seed)
     snapshot = _prefix_snapshot(sc, prefix)
     lockstep = batch(cache, snapshot) if batch is not None else None
 
     def play(first: int, stop: int):
-        if lockstep is not None:
-            return lockstep(first, stop)
-        return _play_trials(sc, cache, snapshot, protocol, value_key, first, stop)
+        played = lockstep(first, stop) if lockstep is not None else None
+        if played is None:
+            played = _play_trials(sc, cache, snapshot, protocol, value_key, first, stop)
+        return played
 
     (counts, rows, stats), *others = _run_shards(sc.trials, play, MIN_SHARD_TRIALS)
     for part_counts, part_rows, part_stats in others:
@@ -639,6 +646,14 @@ def run_collusion_attack(sc: AttackScenario) -> DetectionReport:
     return report
 
 
+#: The fewest trials a shard plays on collusion's lockstep engine.  A
+#: block of it costs about 20 us a numpy step, whatever its size, and
+#: both its steps and a scalar trial's draws grow as m^2, so the trial
+#: count where the two engines draw even hardly moves with m.  One shard
+#: in one process on a 2-core x86-64 VM broke even between 35 (GF(16))
+#: and 60 (GF(32)) trials, near 50 at GF(4), GF(8) and GF(61): GF(61)
+#: took 727 against 405 ms at 30 trials, 867 against 1,133 ms at 90.
+MIN_LOCKSTEP_TRIALS = 50
 #: a lockstep trial's first draw budget, in units of ways² draws; a
 #: trial that runs out of draws is played again with twice the budget
 _LOCKSTEP_BUDGET = 5
@@ -651,7 +666,8 @@ def _collusion_lockstep(sc: AttackScenario, cache, snapshot, squeeze_addrs, targ
                         probe_addrs, inferred_for):
     """A player of whole shards of collusion trials, a block of trials in
     lockstep, with ``_play_trials``' results; None where the run does not
-    fit it.  The scalar loop stays its oracle.
+    fit it.  The player returns None for a shard of fewer than
+    ``MIN_LOCKSTEP_TRIALS`` trials.  The scalar loop stays its oracle.
 
     Trial t draws its coin from its own ``Random(seed + t)``, then its
     whole budget of K draws in one ``getrandbits(64 * K)``, whose 64-bit
@@ -765,6 +781,8 @@ def _collusion_lockstep(sc: AttackScenario, cache, snapshot, squeeze_addrs, targ
 
     def play(first: int, stop: int):
         count = stop - first
+        if count < MIN_LOCKSTEP_TRIALS:
+            return None
         active, fired = np.zeros(count, bool), np.zeros(count, np.intp)
         # squeeze hits and misses, victim and probe self-evictions, probe hits
         cols = np.zeros((5, count), np.int64)

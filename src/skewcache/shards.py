@@ -22,7 +22,8 @@ Two callers share the runner:
   draw path, drawn in numpy or from a reseed, the same stream, so a trial
   has the same outcome and stats delta in every shard, and a shard's
   stats count each memoized trial once.
-  Collusion's shards play every trial, in lockstep blocks
+  Collusion's shards of ``attacks.MIN_LOCKSTEP_TRIALS`` or more trials
+  play every trial in lockstep blocks
   (``attacks._collusion_lockstep``): each trial draws from its own
   ``Random(seed + trial)`` and starts from the prefix's cells, so it
   has the same outcome and stats in any block of any shard.

@@ -242,18 +242,23 @@ def _verify_diagonalization_direct(sp: SkewParams) -> VerificationReport:
     return VerificationReport(checked=m ** 3 * (m - 1), violations=violations)
 
 
-#: Elements per block of (domain pair, set, way) in the m^4 verifier;
-#: bounds its temporaries to a few hundred KiB whatever the field order.
+#: Cells per block of (domain t, cell) in the m^4 verifier: a block
+#: holds max(1, _BLOCK // m^2) domains, so its buffers stay a few
+#: hundred KiB whatever the field order.  In 40 runs each on one CPU of
+#: a 2-core x86-64 VM, interleaved, 2^15 and 2^16 were fastest at
+#: GF(37), GF(61) and GF(64) (GF(61): 2^14 40.6 ms, 2^15 36.9 ms, 2^16
+#: 35.3 ms, 2^17 38.1 ms), and 2^15 keeps the buffers half the size.
 _BLOCK = 1 << 15
 
 #: The fewest domains worth a verifier shard of their own.  Forking a
 #: shard, pickling its violations back and reaping it took 3 ms on a
 #: 2-core x86-64 VM, and a forked shard runs its block loop slower than
 #: the parent (copy-on-write faults, cold caches).  In 40 interleaved
-#: runs each, two shards against one broke even at GF(32) (19 ms serial,
-#: faster in 19) and won from GF(37) on (34 -> 28 ms, faster in 33), so
-#: 18 domains a shard puts the first split at order 36.
-MIN_SHARD_DOMAINS = 18
+#: runs each, two shards against one lost up to GF(47) (15.0 ms serial,
+#: faster in 11), broke even at GF(53) (21.8 ms, faster in 25) and won
+#: from GF(59) on (36.4 -> 35.2 ms, faster in 29; GF(64) 62 -> 51 ms,
+#: faster in 35), so 28 domains a shard puts the first split at order 56.
+MIN_SHARD_DOMAINS = 28
 
 
 def verify_diagonalization(sp: SkewParams) -> VerificationReport:
@@ -264,18 +269,30 @@ def verify_diagonalization(sp: SkewParams) -> VerificationReport:
     physical set.  Any count other than one is a violation, as is any
     enumerated witness that disagrees with the closed-form solver.
 
-    When every (domain, way) is bijective, exactly one set of domain t2
-    shares way w's cell with domain t's set s: s2(s, w) =
-    inv[t2, table[t, s, w], w], with inv the per-way inverse map.  A
-    pair is then checked in m^2 steps, one per (s, w): the solver must
-    give w for (s, s2(s, w)).  If it does for every w, then w -> s2(s, w)
-    is injective (two ways reaching the same s2 would need two answers
-    from one solver call), so every (s, s2) meets in exactly one way and
-    that way is the solver's: the direct comparison would find nothing.
-    A pair that fails is re-run through the direct comparison, and a
-    table with a non-bijective way is checked directly throughout, so
-    the violations and their order are those of
-    _verify_diagonalization_direct.
+    When every (domain, way) is bijective, each cell (p, w) holds
+    exactly one set of every domain: s = inv[t, p, w] of domain t and
+    s2 = inv[t2, p, w] of domain t2, with inv the per-way inverse map,
+    and a way's m cells hold each set of domain t once.  So s2 is the
+    one set of t2 that meets (t, s) in way w, and a pair is checked in
+    m^2 steps, one per cell: the solver must give w for (s, s2).  If it
+    does for every cell, then for each s the ways w -> s2 are injective
+    (two ways reaching the same s2 would need two answers from one
+    solver call), so every (s, s2) meets in exactly one way and that way
+    is the solver's: the direct comparison would find nothing.  A pair
+    that fails is re-run through the direct comparison, and a table with
+    a non-bijective way (or a subtraction t2 -> t - t2 that is not one)
+    is checked directly throughout, so the violations and their order
+    are those of _verify_diagonalization_direct.
+
+    A step is one gather, at s*m + s2, from a byte table precomposed
+    before the loop: solves[delta, s, s2] = pred[delta, diff[s, s2]]
+    (inv and solves hold set indices and ways, which fit a byte:
+    MAX_CELLS caps m at 256).  A difference whose solver row has an
+    entry outside the field (-1 where unsolved) sends all its pairs to
+    the direct comparison, so -1 never passes for way 255; they would
+    fail anyway, since a pair that passes reaches every (s, s2).  Each
+    block of domains t builds its s*m index once and reuses it for every
+    difference delta, so for every t2.
 
     The domains t are checked in contiguous shards on the process's CPUs
     (``shards._run_shards``, at least ``MIN_SHARD_DOMAINS`` a shard).
@@ -287,33 +304,47 @@ def verify_diagonalization(sp: SkewParams) -> VerificationReport:
     table = layout_table(sp)
     if not all(_way_bijective(rows).all() for rows in table):
         return _verify_diagonalization_direct(sp)
-    diff = _difference_table(sp.field)
     deltas, pred = _predictor(sp)
+    if not (np.sort(deltas, axis=1) == np.arange(m)).all():
+        return _verify_diagonalization_direct(sp)
+    diff = _difference_table(sp.field)
+    # other[t, delta]: the domain t2 with t - t2 = delta
+    other = np.empty((m, m), dtype=np.intp)
+    other[np.arange(m)[:, None], deltas] = np.arange(m)
     ways = np.arange(m)
-    inv = np.empty((m, m, m), dtype=np.int16)
+    inv = np.empty((m, m, m), dtype=np.uint8)
     for t in range(m):
         inv[t, table[t], ways] = np.arange(m)[:, None]
-    # flat indices: inv[t2, p, w] at (t2*m + p)*m + w, diff[s, s2] at
-    # s*m + s2, pred[delta, d] at delta*m + d
-    flat_inv, flat_diff, flat_pred = inv.reshape(-1), diff.reshape(-1), pred.reshape(-1)
-    set_rows = np.arange(m)[:, None] * m
+    unsolved = ((pred < 0) | (pred >= m)).any(axis=1)
+    solves = pred.astype(np.uint8).take(diff, axis=1).reshape(m, -1)
+    clean = np.tile(ways.astype(np.uint8), m)  # a domain's cells, each solved as its way
     step = max(1, _BLOCK // (m * m))
 
     def check(first: int, stop: int) -> list[dict]:
         violations: list[dict] = []
-        for t in range(first, stop):
-            cells = table[t].astype(np.intp) * m + ways
-            others = np.delete(ways, t)
-            for i in range(0, m - 1, step):
-                chunk = others[i:i + step]
-                # s2[k, s, w]: the set of domain chunk[k] meeting (t, s) in way w
-                s2 = flat_inv[chunk[:, None, None] * (m * m) + cells]
-                d = flat_diff[set_rows + s2]
-                solved = flat_pred[(deltas[t, chunk] * m)[:, None, None] + d]
-                clean = (solved == ways).all(axis=(1, 2))
-                for j in np.flatnonzero(~clean):
-                    t2 = int(chunk[j])
-                    violations += _pair_violations(table, t, t2, pred[deltas[t, t2]], diff)
+        size = min(step, stop - first) * m * m
+        # rows: s*m, where row s of solves[delta] starts; s*m + s2 < m^2 fits 16 bits
+        rows, at = np.empty(size, np.uint16), np.empty(size, np.uint16)
+        s2, solved = np.empty(size, np.uint8), np.empty(size, np.uint8)
+        want = np.tile(clean, size // clean.size).tobytes()
+        for t0 in range(first, stop, step):
+            t1 = min(t0 + step, stop)
+            block, n = np.arange(t0, t1), (t1 - t0) * m * m
+            np.multiply(inv[t0:t1].reshape(-1), m, out=rows[:n], dtype=np.uint16)
+            failed = []
+            for delta in range(1, m):
+                t2s = other[block, delta]
+                if unsolved[delta]:
+                    failed += zip(block.tolist(), t2s.tolist())
+                    continue
+                np.take(inv, t2s, axis=0, out=s2[:n].reshape(-1, m, m))
+                np.add(rows[:n], s2[:n], out=at[:n])
+                np.take(solves[delta], at[:n], out=solved[:n])
+                if solved[:n].tobytes() != want[:n]:
+                    ok = (solved[:n].reshape(-1, clean.size) == clean).all(axis=1)
+                    failed += zip(block[~ok].tolist(), t2s[~ok].tolist())
+            for t, t2 in sorted(failed):
+                violations += _pair_violations(table, t, t2, pred[deltas[t, t2]], diff)
         return violations
 
     parts = _run_shards(m, check, MIN_SHARD_DOMAINS)

@@ -818,6 +818,7 @@ class TestLockstep:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(shards, "_shard_count", lambda work, min_work: count)
             patch.setattr(attacks, "_LOCKSTEP_BUDGET", budget)
+            patch.setattr(attacks, "MIN_LOCKSTEP_TRIALS", 0)  # every shard on the engine
             patch.setattr(attacks, "_collusion_lockstep", spy)
             got = run_scenario(sc)
             _scalar(patch)
@@ -828,6 +829,37 @@ class TestLockstep:
         assert [player is None for player in players] == [sc.cache.num_ways > 62]
         if sc.victim_access_probability == 0.0:  # no victim access, no victim row
             assert sc.victim_domain not in got.domain_stats
+        no_child_left()
+
+    @pytest.mark.parametrize("trials,count,scalar", [
+        (attacks.MIN_LOCKSTEP_TRIALS - 1, 1, 1),
+        (2 * attacks.MIN_LOCKSTEP_TRIALS - 1, 2, 1),  # the first shard is one trial short
+        (2 * attacks.MIN_LOCKSTEP_TRIALS, 2, 0),
+    ])
+    def test_small_shard_takes_scalar_loop(self, monkeypatch, tmp_path, trials, count,
+                                           scalar):
+        """A shard of fewer than MIN_LOCKSTEP_TRIALS trials plays through
+        the scalar loop, with the report and rows the engine gives it."""
+        sc = _collusion(SkewParams(FieldSpec.binary(3)), trials=trials, seed=11)
+        monkeypatch.setattr(shards, "_shard_count", lambda work, min_work: count)
+        with monkeypatch.context() as patch:
+            patch.setattr(attacks, "MIN_LOCKSTEP_TRIALS", 0)
+            engine = run_scenario(sc)
+        log, play_trials = tmp_path / "scalar-shards", attacks._play_trials
+
+        def spy(*args):  # a file, so that forked shards are seen too
+            with open(log, "a") as fh:
+                fh.write(f"{args[-1] - args[-2]}\n")
+            return play_trials(*args)
+
+        log.write_text("")
+        monkeypatch.setattr(attacks, "_play_trials", spy)
+        got = run_scenario(sc)
+        sizes = [int(line) for line in log.read_text().split()]
+        assert len(sizes) == scalar and all(n < attacks.MIN_LOCKSTEP_TRIALS for n in sizes)
+        assert got.to_dict() == engine.to_dict()
+        assert got.trial_rows == engine.trial_rows
+        assert list(got.domain_stats.items()) == list(engine.domain_stats.items())
         no_child_left()
 
 

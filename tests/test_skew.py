@@ -228,6 +228,13 @@ def _off_by_one_solver(monkeypatch, sp):
     monkeypatch.setattr(skew, "solve_intersection_way", off_by_one)
 
 
+class _FlatDifference(BrokenModularRing):
+    """The mod-2^n ring, but 3 - t2 is 1 for every t2 != 3."""
+
+    def sub(self, x, y):
+        return 1 if x == 3 != y else super().sub(x, y)
+
+
 def _sharded(monkeypatch, sp, counts=(1, 2, 3)):
     """verify_diagonalization(sp) with the shard count forced to each of
     ``counts``."""
@@ -284,6 +291,50 @@ class TestFastVerifierMatchesDirect:
         assert len(fast.violations) == 64
         assert {v["kind"] for v in fast.violations} == {"witness-mismatch"}
         assert all(v["solved"] == (v["enumerated"] + 1) % 8 for v in fast.violations)
+        no_child_left()
+
+    def test_difference_not_a_bijection(self, monkeypatch):
+        # the kernel pairs t with t2 through t - t2, so a subtraction that
+        # is not a bijection in t2 sends the whole table to the direct
+        # comparison, serially
+        sp = SkewParams(_FlatDifference(p=2, n=3, modulus=FieldSpec.binary(3).modulus))
+        assert verify_way_bijection(sp).ok
+        direct = _verify_diagonalization_direct(sp).to_dict()
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("the direct comparison forked"))
+        for fast in _sharded(monkeypatch, sp):
+            assert fast.to_dict() == direct
+        assert direct["violation_count"]
+
+    @pytest.mark.parametrize("per_block", [1, 2, 3])
+    def test_blocks_of_domains(self, monkeypatch, per_block):
+        """Blocks of 1, 2 and 3 domains t: over 2 and 3 shards a shard's
+        last block is cut short where a block of the whole range would
+        straddle the shard bound (GF(8) in 3 shards: domains 0-1, 2-4
+        and 5-7)."""
+        rng = random.Random(per_block)
+        rings = [SkewParams(BrokenModularRing(p=2, n=n, modulus=FieldSpec.binary(n).modulus))
+                 for n in (2, 3, 4)]
+        fields = [sp for f in small_fields(16) for sp in (SkewParams(f), _random_params(f, rng))]
+        for sp in fields + rings:
+            m = sp.field.order
+            monkeypatch.setattr(skew, "_BLOCK", per_block * m * m)
+            direct = _verify_diagonalization_direct(sp).to_dict()
+            with monkeypatch.context() as patch:
+                if direct["ok"]:  # a clean field re-runs no pair, in any shard
+                    patch.setattr(skew, "_pair_violations",
+                                  lambda *args: pytest.fail("a clean pair was re-run"))
+                for fast in _sharded(patch, sp):
+                    assert fast.to_dict() == direct
+        # the rings' ways are bijective and some solver rows hold -1
+        assert all(verify_way_bijection(sp).ok and (skew._predictor(sp)[1] < 0).any()
+                   for sp in rings)
+        sp = SkewParams(FieldSpec.binary(3), a=3, b=5, c=6)
+        monkeypatch.setattr(skew, "_BLOCK", per_block * 64)
+        _off_by_one_solver(monkeypatch, sp)
+        direct = _verify_diagonalization_direct(sp).to_dict()
+        for fast in _sharded(monkeypatch, sp):
+            assert fast.to_dict() == direct
+        assert direct["violation_count"] == 64
         no_child_left()
 
 
