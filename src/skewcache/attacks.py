@@ -4,15 +4,18 @@ One trial driver, ``_run_trials``, runs every experiment.  It holds the
 skeleton the three kinds share: build the cache; then per trial reseed
 it with base seed + trial index, draw the victim's activity coin
 (``victim_access_probability``, so false positives are measurable),
-restore the state the kind's prefix leaves on an empty cache, play the
-kind's protocol, tally the outcome into exactly one of tp/fp/fn/tn and
-count the value it returns (galois-pp's missed way, collusion's
-inferred set), and keep the optional trial row; finally build the
-report.
+restore the state the kind's prefix leaves on an empty cache and play
+the kind's protocol; ``_tally`` counts each outcome into exactly one of
+tp/fp/fn/tn and its value (galois-pp's missed way, collusion's inferred
+set), and keeps the optional trial row; finally build the report.
 
 The driver plays the trials in contiguous shards, in forked children
-on the process's CPUs, at least ``MIN_SHARD_TRIALS`` trials a shard;
-the ``shards`` module describes the runner and why the merge is exact.
+on the process's CPUs, at least ``MIN_SHARD_TRIALS`` trials a shard
+(the ``shards`` module says why the merge is exact), and a shard in
+blocks of at most ``_TRIAL_BLOCK``, each counted before the next.  Both
+players, the scalar loop and collusion's lockstep engine, return a
+block as an outcome id per trial into a small table of ``(active,
+detected, correct, value)`` rows.
 
 A kind splits off its first steps as a ``prefix``: baseline prime-probe
 and galois-pp the prime (galois-pp with the victim's warm-up),
@@ -27,23 +30,23 @@ A trial is played once per shard for each path of draws it takes.
 Every trial starts from that one snapshot, and a protocol may be
 steered only by the cache and the victim's activity, so a trial's
 outcome and stats delta follow from its activity and the residues of
-its draws, each ``getrandbits(64) % ways``.  Each shard keeps, per
-activity value, a tree keyed by those residues, whose leaves hold an
-outcome, a stats delta and a reuse count.  A shard of ``MIN_STREAM_TRIALS``
-or more takes its coins and first draws, bit for bit, from numpy
-(``_seeded_draws``).  Baseline prime-probe under LRU draws in no trial (a
-leaf at the root), galois-pp once or twice when the victim is active (its
-fill, and the refill of its probe's miss, evict at random: at most 2m - 1
-paths), collusion 150 or more times (its squeeze), past the depth cap.
+its draws, each ``getrandbits(64) % ways``.  Each shard keeps, for all
+its blocks, a tree per activity value keyed by those residues, whose
+leaves hold an outcome id, a stats delta and a reuse count.  A block of
+``MIN_STREAM_TRIALS`` or more takes its coins and first draws, bit for
+bit, from numpy (``_seeded_draws``).  Baseline prime-probe under LRU
+draws in no trial (a leaf at the root), galois-pp once or twice when
+the victim is active (its fill, and the refill of its probe's miss,
+evict at random: at most 2m - 1 paths), collusion 150 or more times
+(its squeeze), past the depth cap.
 
-So collusion's trials are not played one by one through the cache.
-Its runner hands the trial driver a batch player, ``_collusion_lockstep``,
-which plays a shard's trials together in blocks: one numpy step per
-draw for all the block's trials, each trial's draws taken from its own
-``Random(seed + trial)`` in one ``getrandbits`` call.  Its reports and
-trial rows are byte for byte those of the scalar loop, which stays its
-oracle and plays any run the engine does not fit, and any shard of
-fewer than ``MIN_LOCKSTEP_TRIALS`` trials, which it plays faster.
+So collusion's runner hands the trial driver a batch player,
+``_collusion_lockstep``, which plays a block's trials together: one
+numpy step per draw for all of them, each trial's draws taken from its
+own ``Random(seed + trial)`` in one ``getrandbits`` call.  Its reports
+and trial rows are byte for byte those of the scalar loop, its oracle,
+which plays any run the engine does not fit and any block of fewer than
+``MIN_LOCKSTEP_TRIALS`` trials, which it plays faster.
 
 The probes and collusion's squeeze are groups of one domain's lines,
 which the cache runs through its row-local kernel: each row is scanned
@@ -107,10 +110,18 @@ MIN_SHARD_TRIALS = 256
 
 _MEMO_DEPTH = 4  # the longest draw path the trial memo keeps
 
-#: The fewest trials a shard seeds in numpy (``_seeded_draws``, 9.4k ufunc
+#: The fewest trials a block seeds in numpy (``_seeded_draws``, 9.4k ufunc
 #: calls at any size): on a 2-core x86-64 VM, it drew even with 8-12 us
 #: reseeds near 1,000-1,100 trials, alone or two shards at once.
 MIN_STREAM_TRIALS = 1500
+
+#: The most trials a shard plays at once (a block, which pays the 9.4k
+#: ufunc calls of ``_seeded_draws`` once).  Serial, 262,144 trials on one
+#: CPU of a 2-core x86-64 VM, best of 5: baseline-pp 64x8 and galois-pp
+#: n=4 took 4.2-4.3, 3.3, 2.8-2.9 and 2.8-2.9 us a trial at 2^13 to 2^16;
+#: from 10k to 1M trials, baseline-pp's peak RSS rose 1.4 MiB at 2^14 and
+#: 4.7 MiB at 2^15 (a block's numpy rows).
+_TRIAL_BLOCK = 1 << 14
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -278,16 +289,18 @@ def _seeded_draws(seed: int, count: int, coin: bool):
         if i <= words or 397 <= i < 397 + words:
             (low[i] if i <= words else high[i - 397])[:] = s
     step(s, low[1], 1566083941, first, 0xFFFFFFFF)  # its last step, likewise
-    low[0] = 0x80000000  # then the first twist's words 0 to words - 1, tempered
-    y = low[:-1] & 0x80000000 | low[1:] & 0x7FFFFFFF
-    w = high ^ y >> 1 ^ (y & 1) * 0x9908B0DF
-    w ^= w >> 11
-    w ^= w << 7 & 0x9D2C5680
-    w ^= w << 15 & 0xEFC60000
-    w ^= w >> 18
-    coins = ((w[0] >> 5) * 67108864.0 + (w[1] >> 6)) / 9007199254740992.0 if coin else None
-    w = w[2 * coin:].astype(np.uint64)
-    return coins, (w[0::2] | w[1::2] << 32).T  # a 64-bit draw takes its low word first
+    low[0] = 0x80000000  # then the first twist's words 0 to words - 1, tempered in
+    for upper, lower, w in zip(low, low[1:], high):  # place, with a row's temporaries
+        y = upper & 0x80000000 | lower & 0x7FFFFFFF
+        w ^= y >> 1 ^ (y & 1) * 0x9908B0DF
+        w ^= w >> 11
+        w ^= w << 7 & 0x9D2C5680
+        w ^= w << 15 & 0xEFC60000
+        w ^= w >> 18
+    coins = ((high[0] >> 5) * 67108864.0 + (high[1] >> 6)) / 9007199254740992.0 if coin else None
+    draws = np.left_shift(high[2 * coin + 1::2].T, 32, dtype=np.uint64, order="C")
+    draws |= high[2 * coin::2].T  # a 64-bit draw takes its low word first
+    return coins, draws
 
 
 def _prefix_snapshot(sc: AttackScenario, prefix):
@@ -310,42 +323,39 @@ def _add_stats(total: dict, part: dict, times: int = 1) -> None:
             into[key] += times * value
 
 
-def _play_trials(sc: AttackScenario, cache, snapshot, protocol, value_key: Optional[str],
-                 first: int, stop: int):
-    """Trials ``first`` to ``stop`` of one shard, on ``cache``: returns
-    the counts (tp, fp, fn, tn, then the count of each value), the trial
-    rows (None unless recorded) and the domain stats.
+def _play_trials(sc: AttackScenario, cache, snapshot, protocol, memo, first: int, stop: int):
+    """Trials ``first`` to ``stop``, a block, on ``cache``: each trial's
+    outcome id into the table of outcomes, which comes next, and the
+    block's domain stats.  ``memo`` is the shard's, kept across blocks.
 
     A trial draws its coin, walks its value's tree (module docstring) one
-    ``getrandbits(64) % ways`` a node and counts the leaf it reaches; a
-    leaf's stats delta is added once per reuse at the end.  Off the tree,
-    it reseeds and plays with its draws recorded, and adds their path
-    unless the stream moved by more, the path is past ``_MEMO_DEPTH`` or
-    the shard holds ways² leaves: then the value is played from then on.
-    From its first trial that would reseed to walk, a shard of enough
-    trials takes coins and draws from ``_seeded_draws`` and reseeds to play.
+    ``getrandbits(64) % ways`` a node and takes the leaf it reaches, whose
+    stats delta the block adds once per reuse.  Off the tree, it reseeds
+    and plays with its draws recorded, and adds their path unless the
+    stream moved by more, the path is past ``_MEMO_DEPTH`` or the shard
+    holds ways² leaves: then the value is played from then on.  From its
+    first trial that would reseed to walk, a block of enough trials takes
+    coins and draws from ``_seeded_draws`` and reseeds to play.
     """
     p = sc.victim_access_probability
     coin_draws = 0.0 < p < 1.0
     ways = sc.cache.num_ways
-    counts = [0] * (4 + sc.cache.num_sets)
-    rows = [] if sc.record_trials else None
-    # activity -> its tree: a leaf [outcome, stats delta, reuses], a dict
-    # from draw % ways to subtrees, or None once the value is played
-    memo: dict = {}
-    leaves: list[list] = []
-    # from trial start on, as numpy drew them: the activities, and one
-    # flat list of residues, _MEMO_DEPTH a trial
+    # trees: activity -> its tree, a leaf [outcome id, stats delta, reuses
+    # in this block], a dict from draw % ways to subtrees, or None once the
+    # value is played; outcomes: (active, detected, correct, value) -> id
+    trees, leaves, outcomes = memo
+    ids, opening = [], cache.stats()
+    # from trial start on, from numpy: activities, and _MEMO_DEPTH residues a trial
     start = actives = stream = None
     for trial in range(first, stop):
-        if start is None and (coin_draws or type(memo.get(p >= 1.0)) is dict):
+        if start is None and (coin_draws or type(trees.get(p >= 1.0)) is dict):
             start = trial  # the first trial that would reseed to walk
             streams = (_seeded_draws(sc.seed + trial, stop - trial, coin_draws)
                        if stop - trial >= MIN_STREAM_TRIALS else None)
             if streams is not None:
                 coins, draws = streams
                 actives = (coins < p).tolist() if coin_draws else [p >= 1.0] * len(draws)
-                stream = (draws % ways).ravel().tolist()
+                stream = np.remainder(draws, ways, out=draws).ravel().tolist()
         if actives is not None:  # seeded: the cache's stream is just past the coin
             k = trial - start
             active, seeded = actives[k], False
@@ -354,7 +364,7 @@ def _play_trials(sc: AttackScenario, cache, snapshot, protocol, value_key: Optio
             if coin_draws:
                 cache.reseed(sc.seed + trial)
             active, residues, seeded = _trial_active(cache.rng, p), None, coin_draws
-        node = memo.get(active, ())
+        node = trees.get(active, ())
         if type(node) is dict:
             if residues is None:
                 if not seeded:
@@ -363,16 +373,14 @@ def _play_trials(sc: AttackScenario, cache, snapshot, protocol, value_key: Optio
             while type(node) is dict:
                 node = node.get(next(residues), ())
             seeded = False
-        if type(node) is not list and not seeded:  # to be played: rewind to past the coin
-            cache.reseed(sc.seed + trial)
-            _trial_active(cache.rng, p)
         if type(node) is list:
             node[2] += 1
-            detected, correct, value = node[0]
-        elif node is None:
-            cache.restore(snapshot)
-            detected, correct, value = protocol(cache, active)
-        else:  # a new path: play it with its draws recorded
+            ids.append(node[0])
+            continue
+        if not seeded:  # to be played: rewind to past the coin
+            cache.reseed(sc.seed + trial)
+            _trial_active(cache.rng, p)
+        if node is not None:  # a new path: play it with its draws recorded
             before, drawn, real = cache.stats(), [], cache.rng.getrandbits
 
             def record(k):
@@ -381,42 +389,46 @@ def _play_trials(sc: AttackScenario, cache, snapshot, protocol, value_key: Optio
                 return bits
 
             cache.rng.getrandbits = record
-            cache.restore(snapshot)
-            detected, correct, value = protocol(cache, active)
+        cache.restore(snapshot)
+        outcome = (active, *protocol(cache, active))
+        if node is not None:
             del cache.rng.getrandbits
             ref = random.Random(sc.seed + trial)
             _trial_active(ref, p)
             ref.getrandbits(64 * len(drawn))  # as far as len(drawn) 64-bit draws
             if (-1 in drawn or len(drawn) > _MEMO_DEPTH or len(leaves) >= ways * ways
                     or ref.getstate() != cache.rng.getstate()):
-                memo[active] = None
+                trees[active] = None
             else:
                 delta = cache.stats()
                 _add_stats(delta, before, -1)
-                leaves.append([(detected, correct, value), delta, 0])
-                tree, key = memo, active
+                leaves.append([outcomes.setdefault(outcome, len(outcomes)), delta, 0])
+                tree, key = trees, active
                 for residue in drawn:
                     tree, key = tree.setdefault(key, {}), residue
                 tree[key] = leaves[-1]
-        if active and correct:
-            counts[0] += 1
-        elif detected:
-            counts[1] += 1
-        elif active:
-            counts[2] += 1
-        else:
-            counts[3] += 1
-        if value >= 0:
-            counts[4 + value] += 1
-        if rows is not None:
-            row = {"trial": trial, "active": active, "detected": detected}
-            if value_key is not None:
-                row[value_key] = value
-            rows.append(row)
+        ids.append(outcomes.setdefault(outcome, len(outcomes)))
     stats = cache.stats()
-    for _, delta, reuses in leaves:
-        _add_stats(stats, delta, reuses)
-    return counts, rows, stats
+    _add_stats(stats, opening, -1)
+    for leaf in leaves:
+        _add_stats(stats, leaf[1], leaf[2])
+        leaf[2] = 0  # the next block counts its own reuses
+    return ids, list(outcomes), stats
+
+
+def _tally(counts: list, rows: Optional[list], first: int, ids, table, value_key):
+    """Add a block's trials from ``first`` on, outcome ids into ``table``,
+    to ``counts``: to exactly one of tp, fp, fn, tn each, and to its
+    value's count unless -1; and to ``rows``, if recorded."""
+    for (active, detected, correct, value), n in zip(
+            table, np.bincount(ids, minlength=len(table)).tolist()):
+        counts[0 if active and correct else 1 if detected else 2 if active else 3] += n
+        if value >= 0:
+            counts[4 + value] += n
+    if rows is not None:
+        shapes = [{"active": a, "detected": d, **({} if value_key is None else {value_key: v})}
+                  for a, d, _, v in table]
+        rows += [{"trial": trial, **shapes[k]} for trial, k in enumerate(ids, first)]
 
 
 def _run_trials(sc: AttackScenario, protocol, definition: str, prefix,
@@ -431,9 +443,8 @@ def _run_trials(sc: AttackScenario, protocol, definition: str, prefix,
     ``(detected, correct, value)``: ``correct`` says the inference names
     the victim's set (it equals ``detected`` for the prime-probe kinds),
     and ``value`` is an index below the cache's set count, or -1 when
-    nothing fired.  Each trial adds to exactly one confusion cell and,
-    unless -1, to its value's count; the trial row keeps the value under
-    ``value_key``, if given.
+    nothing fired.  ``_tally`` counts the outcomes; the trial row keeps
+    the value under ``value_key``, if given.
 
     A protocol must be steered by nothing but the cache (its cells, LRU
     stamps and clock, and random stream) and ``active``: no state of its
@@ -445,19 +456,25 @@ def _run_trials(sc: AttackScenario, protocol, definition: str, prefix,
     and ``_play_trials`` plays each such path once per shard.
 
     ``batch(cache, snapshot)``, if given, is asked once per run for a
-    player of whole shards, ``play(first, stop)`` with ``_play_trials``'
+    player of blocks, ``play(first, stop)`` with ``_play_trials``'
     results; where it returns None, or its player returns None for a
-    shard, the shards take ``_play_trials``.
+    block, the block takes ``_play_trials``.  A shard's memory is one
+    block's, but for the trial rows when recorded.
     """
     cache = build_cache(sc.cache, sc.seed)
     snapshot = _prefix_snapshot(sc, prefix)
-    lockstep = batch(cache, snapshot) if batch is not None else None
+    lockstep = (batch and batch(cache, snapshot)) or (lambda first, stop: None)
 
     def play(first: int, stop: int):
-        played = lockstep(first, stop) if lockstep is not None else None
-        if played is None:
-            played = _play_trials(sc, cache, snapshot, protocol, value_key, first, stop)
-        return played
+        counts, rows, stats = [0] * (4 + sc.cache.num_sets), [] if sc.record_trials else None, {}
+        memo = ({}, [], {})  # _play_trials' trees, leaves and outcome ids, for the shard
+        for start in range(first, stop, _TRIAL_BLOCK):
+            end = min(start + _TRIAL_BLOCK, stop)
+            ids, table, part = lockstep(start, end) or _play_trials(
+                sc, cache, snapshot, protocol, memo, start, end)
+            _tally(counts, rows, start, ids, table, value_key)
+            _add_stats(stats, part)
+        return counts, rows, stats
 
     (counts, rows, stats), *others = _run_shards(sc.trials, play, MIN_SHARD_TRIALS)
     for part_counts, part_rows, part_stats in others:
@@ -646,8 +663,8 @@ def run_collusion_attack(sc: AttackScenario) -> DetectionReport:
     return report
 
 
-#: The fewest trials a shard plays on collusion's lockstep engine.  A
-#: block of it costs about 20 us a numpy step, whatever its size, and
+#: The fewest trials a block plays on collusion's lockstep engine.  A
+#: batch of it costs about 20 us a numpy step, whatever its size, and
 #: both its steps and a scalar trial's draws grow as m^2, so the trial
 #: count where the two engines draw even hardly moves with m.  One shard
 #: in one process on a 2-core x86-64 VM broke even between 35 (GF(16))
@@ -657,16 +674,16 @@ MIN_LOCKSTEP_TRIALS = 50
 #: a lockstep trial's first draw budget, in units of ways² draws; a
 #: trial that runs out of draws is played again with twice the budget
 _LOCKSTEP_BUDGET = 5
-#: draws a lockstep block holds, one byte each (4 MiB)
+#: draws a lockstep batch of a block's trials holds, one byte each (4 MiB)
 _LOCKSTEP_BLOCK = 1 << 22
 _STAT_KEYS = ("hits", "misses", "evictions_caused", "self_evictions")
 
 
 def _collusion_lockstep(sc: AttackScenario, cache, snapshot, squeeze_addrs, target_addr,
                         probe_addrs, inferred_for):
-    """A player of whole shards of collusion trials, a block of trials in
+    """A player of blocks of collusion trials, a batch of trials in
     lockstep, with ``_play_trials``' results; None where the run does not
-    fit it.  The player returns None for a shard of fewer than
+    fit it.  The player returns None for a block of fewer than
     ``MIN_LOCKSTEP_TRIALS`` trials.  The scalar loop stays its oracle.
 
     Trial t draws its coin from its own ``Random(seed + t)``, then its
@@ -710,11 +727,13 @@ def _collusion_lockstep(sc: AttackScenario, cache, snapshot, squeeze_addrs, targ
     full = (1 << m) - 1
     probe_rows, probe_codes = np.array(probe.cands), [code[k] for k in probe.keys]
     target_row, target_code = np.array(target.cands[0]), code[target.keys[0]]
-    inferred = np.array([*inferred_for, -1])  # -1 where no set fired
+    inferred = [*inferred_for, -1]  # outcome id active * (m + 1) + fired + 1, fired -1: none
+    outcomes = [(a, f >= 0, inferred[f] == sc.victim_target_set, inferred[f])
+                for a in (False, True) for f in range(-1, m)]
 
-    def block(trials: list, budget: int):
-        """Per trial: activity, fired set (-1: none), stats columns (see
-        ``play``) and whether the budget ran out."""
+    def batch(trials: list, budget: int):
+        """Per trial: outcome id; columns of squeeze hits and misses, victim
+        and probe self-evictions and probe hits; whether the budget ran out."""
         count = len(trials)
         # the victim and the probe draw at most once a line past the budget
         draws = np.zeros((budget + 1 + len(probe_codes), count), np.uint8)
@@ -777,39 +796,25 @@ def _collusion_lockstep(sc: AttackScenario, cache, snapshot, squeeze_addrs, targ
         short |= ptr > budget  # a draw past the budget read the zero padding
         cols[4] = probed.sum(1)
         fired = ~probed.reshape(count, m, m).any(2)  # set s is lines s*m to s*m + m - 1
-        return active, np.where(fired.any(1), fired.argmax(1), -1), cols, short
+        return active * (m + 1) + np.where(fired.any(1), fired.argmax(1) + 1, 0), cols, short
 
     def play(first: int, stop: int):
         count = stop - first
         if count < MIN_LOCKSTEP_TRIALS:
             return None
-        active, fired = np.zeros(count, bool), np.zeros(count, np.intp)
-        # squeeze hits and misses, victim and probe self-evictions, probe hits
-        cols = np.zeros((5, count), np.int64)
+        ids, sums = np.empty(count, np.intp), np.zeros(5, np.int64)  # sums: of finished trials
         todo, budget = np.arange(count), _LOCKSTEP_BUDGET * m * m
         while todo.size:
             per, again = max(1, _LOCKSTEP_BLOCK // budget), []
             for start in range(0, todo.size, per):
                 part = todo[start:start + per]
-                got_active, got_fired, got_cols, short = block((first + part).tolist(), budget)
-                ok = part[~short]
-                active[ok], fired[ok], cols[:, ok] = (
-                    got_active[~short], got_fired[~short], got_cols[:, ~short])
+                got, cols, short = batch((first + part).tolist(), budget)
+                ids[part[~short]] = got[~short]
+                sums += cols[:, ~short].sum(1)
                 again.append(part[short])
             todo, budget = np.concatenate(again), 2 * budget
-        value = inferred[fired]
-        detected = fired >= 0
-        hit = active & (value == sc.victim_target_set)
-        counts = [int(hit.sum()), int((detected & ~hit).sum()),
-                  int((active & ~detected).sum()), int((~active & ~detected).sum()),
-                  *np.bincount(value[detected], minlength=sc.cache.num_sets).tolist()]
-        rows = [{"trial": t, "active": a, "detected": d, "inferred_set": v}
-                for t, a, d, v in zip(range(first, stop), active.tolist(), detected.tolist(),
-                                      value.tolist())] if sc.record_trials else None
-        if not count:
-            return counts, rows, {}
-        sq_hits, sq_misses, vic_self, probe_self, probe_hits = cols.sum(1).tolist()
-        accesses, probe_misses = int(active.sum()), count * len(probe_codes) - probe_hits
+        sq_hits, sq_misses, vic_self, probe_self, probe_hits = sums.tolist()
+        accesses, probe_misses = int((ids > m).sum()), count * len(probe_codes) - probe_hits
         sq_other = count * groups * m  # a group evicts its row's m other lines once each
         stats: dict = {}
         for d, row, times in (
@@ -819,7 +824,7 @@ def _collusion_lockstep(sc: AttackScenario, cache, snapshot, squeeze_addrs, targ
                 (prober, (probe_hits, probe_misses, probe_misses - probe_self, probe_self), 1)):
             if row[0] + row[1]:  # a domain has a stats row once it made an access
                 _add_stats(stats, {d: dict(zip(_STAT_KEYS, row))}, times)
-        return counts, rows, dict(sorted(stats.items()))
+        return ids, outcomes, stats
 
     return play
 

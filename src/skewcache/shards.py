@@ -17,16 +17,14 @@ Two callers share the runner:
   counts (confusion cells and values) and domain stats and joins their
   trial rows in trial order: each trial reseeds itself and restores its
   prefix into a flushed cache, whose LRU clock restarts at 0, and the
-  cache holds nothing yet when the children fork.  Each shard keeps its
-  own trial memo: it plays its first trial of each activity value and
-  draw path, drawn in numpy or from a reseed, the same stream, so a trial
-  has the same outcome and stats delta in every shard, and a shard's
-  stats count each memoized trial once.
-  Collusion's shards of ``attacks.MIN_LOCKSTEP_TRIALS`` or more trials
-  play every trial in lockstep blocks
-  (``attacks._collusion_lockstep``): each trial draws from its own
-  ``Random(seed + trial)`` and starts from the prefix's cells, so it
-  has the same outcome and stats in any block of any shard.
+  cache holds nothing yet when the children fork.  Each shard plays its
+  blocks of trials through its own trial memo: its first trial of each
+  activity value and draw path, drawn in numpy or from a reseed, the
+  same stream, so a trial has the same outcome and stats delta in every
+  shard, and a shard's stats count each memoized trial once.  Collusion's
+  lockstep engine (``attacks._collusion_lockstep``) plays every trial
+  from its own ``Random(seed + trial)`` and the prefix's cells, so it
+  has the same outcome and stats in any batch of any block.
 * the diagonalization verifier (``skew.verify_diagonalization``) shards
   its domains t, at least ``skew.MIN_SHARD_DOMAINS`` a shard.  The
   parent builds every table the check reads before it forks, so the

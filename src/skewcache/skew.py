@@ -169,11 +169,11 @@ def _way_bijective(rows: np.ndarray) -> np.ndarray:
     return (np.sort(rows, axis=0) == sets).all(axis=0)
 
 
-def _predictor(sp: SkewParams) -> tuple[np.ndarray, np.ndarray]:
-    """(deltas, pred): deltas[t, t2] is the domain difference t - t2 of
-    each pair of distinct domains, and pred[delta, d] the closed-form way
-    where domain t's set s meets domain t2's set s + d, for any pair of
-    that difference, or -1 where the solver fails.
+def _predictor(sp: SkewParams, diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(deltas, pred): deltas[t, t2] = diff[t2, t] is the difference t - t2
+    of two distinct domains, and pred[delta, d] the closed-form way where
+    domain t's set s meets domain t2's set s + d, for any pair of that
+    difference, or -1 where the solver fails.
 
     The closed form factors through the domain and set-index
     differences, so one row per domain difference suffices (the full
@@ -183,17 +183,14 @@ def _predictor(sp: SkewParams) -> tuple[np.ndarray, np.ndarray]:
     arithmetic is not a field.  Both tables are built up front, so the
     verifier's shards read them and make no field call.
     """
-    f = sp.field
-    m = f.order
-    deltas = np.zeros((m, m), dtype=np.intp)
+    m = sp.field.order
+    deltas = diff.T.astype(np.intp)
+    np.fill_diagonal(deltas, 0)
     pred = np.full((m, m), -1, dtype=np.int16)
     solved = set()
-    for t in range(m):
-        for t2 in range(m):
-            if t2 == t:
-                continue
-            delta = deltas[t, t2] = f.sub(t, t2)
-            if delta in solved:
+    for t, row in enumerate(deltas.tolist()):
+        for t2, delta in enumerate(row):
+            if t2 == t or delta in solved:
                 continue
             solved.add(delta)
             for d in range(m):
@@ -233,7 +230,7 @@ def _verify_diagonalization_direct(sp: SkewParams) -> VerificationReport:
     m = sp.field.order
     table = layout_table(sp)
     diff = _difference_table(sp.field)
-    deltas, pred = _predictor(sp)
+    deltas, pred = _predictor(sp, diff)
     violations: list[dict] = []
     for t in range(m):
         for t2 in range(m):
@@ -304,10 +301,10 @@ def verify_diagonalization(sp: SkewParams) -> VerificationReport:
     table = layout_table(sp)
     if not all(_way_bijective(rows).all() for rows in table):
         return _verify_diagonalization_direct(sp)
-    deltas, pred = _predictor(sp)
+    diff = _difference_table(sp.field)
+    deltas, pred = _predictor(sp, diff)
     if not (np.sort(deltas, axis=1) == np.arange(m)).all():
         return _verify_diagonalization_direct(sp)
-    diff = _difference_table(sp.field)
     # other[t, delta]: the domain t2 with t - t2 = delta
     other = np.empty((m, m), dtype=np.intp)
     other[np.arange(m)[:, None], deltas] = np.arange(m)

@@ -212,15 +212,14 @@ def galois_pp_forced_trial(sc, way: int):
     return report.trial_rows[0], not trial_caches[0].rng.script
 
 
-def play_every_trial(sc, cache, snapshot, protocol, value_key, first, stop, paths=None):
+def play_every_trial(sc, cache, snapshot, protocol, memo, first, stop, paths=None):
     """Reference for ``attacks._play_trials``, with its signature and
     results: every trial reseeds the cache, draws its coin, restores the
-    snapshot and plays the protocol, with no memo.  Given a list
-    ``paths``, it appends each trial's activity and draw path: per
-    ``getrandbits`` call of the protocol, the value mod the way count
-    when 64 bits were drawn, else None."""
-    counts = [0] * (4 + sc.cache.num_sets)
-    rows = [] if sc.record_trials else None
+    snapshot and plays the protocol, with no memo (``memo`` is unread).
+    Given a list ``paths``, it appends each trial's activity and draw
+    path: per ``getrandbits`` call of the protocol, the value mod the way
+    count when 64 bits were drawn, else None."""
+    outcomes, ids, before = {}, [], cache.stats()
     for trial in range(first, stop):
         cache.reseed(sc.seed + trial)
         active = attacks._trial_active(cache.rng, sc.victim_access_probability)
@@ -235,26 +234,14 @@ def play_every_trial(sc, cache, snapshot, protocol, value_key, first, stop, path
 
             cache.rng.getrandbits = record
         cache.restore(snapshot)
-        detected, correct, value = protocol(cache, active)
+        outcome = (active, *protocol(cache, active))
         if paths is not None:
             del cache.rng.getrandbits
             paths.append((active, tuple(drawn)))
-        if active and correct:
-            counts[0] += 1
-        elif detected:
-            counts[1] += 1
-        elif active:
-            counts[2] += 1
-        else:
-            counts[3] += 1
-        if value >= 0:
-            counts[4 + value] += 1
-        if rows is not None:
-            row = {"trial": trial, "active": active, "detected": detected}
-            if value_key is not None:
-                row[value_key] = value
-            rows.append(row)
-    return counts, rows, cache.stats()
+        ids.append(outcomes.setdefault(outcome, len(outcomes)))
+    stats = {d: {key: value - before.get(d, {}).get(key, 0) for key, value in row.items()}
+             for d, row in cache.stats().items()}
+    return ids, list(outcomes), stats
 
 
 def no_child_left():

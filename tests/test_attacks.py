@@ -12,6 +12,8 @@ import math
 import os
 import pathlib
 import random
+import subprocess
+import sys
 import tempfile
 import time
 from unittest import mock
@@ -577,30 +579,45 @@ def memo_scenarios(draw):
 
 GF5 = SkewParams(FieldSpec.prime(5))
 
-# (scenario, shard count) pairs pinned in front of the memo's Hypothesis
+# (scenario, shard count, block) pinned in front of the memo's Hypothesis
 # tests: both activities at the root, the idle one only, and neither;
 # galois-pp's draw paths at p = 1 and on a prime field; baseline's
 # random victim in the primed set, past the leaf cap (ways² = 16) and,
 # on 64x8, past the depth cap with leaves grown; collusion at p = 1,
-# past the depth cap from its first trial
+# past the depth cap from its first trial; galois-pp and the 64x8 random
+# victim again in blocks of a few trials (block None: _TRIAL_BLOCK as is)
 MEMO_EXAMPLES = [
-    (baseline_scenario(trials=40, victim_access_probability=0.5), 2),
-    (default_scenario("galois_pp", galois_config(SP4), 40, 7, 0.5), 2),
-    (default_scenario("collusion", galois_config(SP4), 40, 7, 0.5), 2),
-    (default_scenario("galois_pp", galois_config(SP4), 40, 7, 1.0), 2),
-    (default_scenario("galois_pp", galois_config(GF5), 40, 7, 0.5), 2),
+    (baseline_scenario(trials=40, victim_access_probability=0.5), 2, None),
+    (default_scenario("galois_pp", galois_config(SP4), 40, 7, 0.5), 2, None),
+    (default_scenario("collusion", galois_config(SP4), 40, 7, 0.5), 2, None),
+    (default_scenario("galois_pp", galois_config(SP4), 40, 7, 1.0), 2, None),
+    (default_scenario("galois_pp", galois_config(GF5), 40, 7, 0.5), 2, None),
     (baseline_scenario(cache=conventional_config(4, 4, "random"), trials=40, seed=7,
-                       victim_access_probability=0.5), 1),
+                       victim_access_probability=0.5), 1, None),
     (baseline_scenario(cache=conventional_config(64, 8, "random"), trials=300,
-                       victim_access_probability=0.5), 1),
-    (default_scenario("collusion", galois_config(GF5), 20, 7, 1.0), 2),
+                       victim_access_probability=0.5), 1, None),
+    (default_scenario("collusion", galois_config(GF5), 20, 7, 1.0), 2, None),
+    (default_scenario("galois_pp", galois_config(GF5), 40, 7, 0.5), 2, 3),
+    (baseline_scenario(cache=conventional_config(64, 8, "random"), trials=300,
+                       victim_access_probability=0.5), 1, 7),
 ]
 
 
 def _memo_examples(test):
-    for sc, count in reversed(MEMO_EXAMPLES):
-        test = example(sc=dataclasses.replace(sc, record_trials=True), count=count)(test)
+    for sc, count, block in reversed(MEMO_EXAMPLES):
+        test = example(sc=dataclasses.replace(sc, record_trials=True), count=count,
+                       block=block)(test)
     return test
+
+
+# _TRIAL_BLOCK as it is (None), or a few trials, so that blocks split
+# shards and the trial memo outlives them
+BLOCKS = st.sampled_from([None, 4, 16])
+
+
+def _blocks(patch, block):
+    if block is not None:
+        patch.setattr(attacks, "_TRIAL_BLOCK", block)
 
 
 class TestSeededDraws:
@@ -637,12 +654,13 @@ STREAM_SOURCES = (1, math.inf)
 
 class TestTrialMemo:
     @settings(max_examples=max(100, settings().max_examples), deadline=None)
-    @given(sc=memo_scenarios(), count=st.integers(1, 3))
+    @given(sc=memo_scenarios(), count=st.integers(1, 3), block=BLOCKS)
     @_memo_examples
-    def test_trial_memo_matches_every_trial_oracle(self, sc, count):
+    def test_trial_memo_matches_every_trial_oracle(self, sc, count, block):
         outcomes = []
         with pytest.MonkeyPatch.context() as patch:
             _scalar(patch)
+            _blocks(patch, block)
             patch.setattr(shards, "_shard_count", lambda work, min_work: count)
             for least in STREAM_SOURCES:
                 patch.setattr(attacks, "MIN_STREAM_TRIALS", least)
@@ -656,12 +674,13 @@ class TestTrialMemo:
         no_child_left()
 
     @settings(max_examples=max(100, settings().max_examples), deadline=None)
-    @given(sc=memo_scenarios(), count=st.integers(1, 3))
+    @given(sc=memo_scenarios(), count=st.integers(1, 3), block=BLOCKS)
     @_memo_examples
-    def test_trial_memo_plays_each_oracle_draw_path_once_a_shard(self, sc, count):
+    def test_trial_memo_plays_each_oracle_draw_path_once_a_shard(self, sc, count, block):
         played = []
         with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
             _scalar(patch)
+            _blocks(patch, block)
             patch.setattr(shards, "_shard_count", lambda work, min_work: count)
             restores = _counting(patch, pathlib.Path(tmp), "restore")
             for least in STREAM_SOURCES:
@@ -792,23 +811,29 @@ class TestLockstep:
     # with 2m², then 4m² draws.  The mod-4 ring's rows share no cell, so
     # the engine plays it, though the squeeze there leaves some prober
     # sets two survivors or none; GF(64)'s squeeze groups (64 lines)
-    # overflow the gone mask and take the scalar loop.
+    # overflow the gone mask and take the scalar loop.  In blocks of a
+    # few trials, a shard's tail of one trial takes the scalar loop beside
+    # the engine's blocks.
     @settings(max_examples=max(100, settings().max_examples), deadline=None)
-    @given(sc=lockstep_scenarios(), count=st.integers(1, 3), budget=st.sampled_from([1, 5]))
-    @example(sc=_collusion(GF5), count=2, budget=5)
-    @example(sc=_collusion(GF7, victim_target_set=6), count=1, budget=5)
-    @example(sc=_collusion(SP4, prob=0.0), count=2, budget=5)
-    @example(sc=_collusion(SP4, prob=1.0), count=2, budget=5)
-    @example(sc=_collusion(SP4, record_trials=False), count=3, budget=5)
+    @given(sc=lockstep_scenarios(), count=st.integers(1, 3), budget=st.sampled_from([1, 5]),
+           block=BLOCKS)
+    @example(sc=_collusion(GF5), count=2, budget=5, block=None)
+    @example(sc=_collusion(GF7, victim_target_set=6), count=1, budget=5, block=None)
+    @example(sc=_collusion(SP4, prob=0.0), count=2, budget=5, block=None)
+    @example(sc=_collusion(SP4, prob=1.0), count=2, budget=5, block=None)
+    @example(sc=_collusion(SP4, record_trials=False), count=3, budget=5, block=None)
     @example(sc=AttackScenario(kind="collusion", cache=galois_config(SP4), victim_domain=0,
                                adversary_domains=(3, 2), victim_target_set=1, trials=30,
                                seed=5, victim_access_probability=0.5, squeezer_skip_set=0,
-                               record_trials=True), count=2, budget=5)
-    @example(sc=_collusion(SP4, seed=2**40 + 7), count=2, budget=5)
-    @example(sc=_collusion(GF5), count=2, budget=1)
-    @example(sc=_collusion(RING, trials=40, victim_domain=3), count=2, budget=5)
-    @example(sc=_collusion(SkewParams(FieldSpec.binary(6)), trials=2), count=1, budget=5)
-    def test_lockstep_engine_matches_scalar_oracle(self, sc, count, budget):
+                               record_trials=True), count=2, budget=5, block=None)
+    @example(sc=_collusion(SP4, seed=2**40 + 7), count=2, budget=5, block=None)
+    @example(sc=_collusion(GF5), count=2, budget=1, block=None)
+    @example(sc=_collusion(RING, trials=40, victim_domain=3), count=2, budget=5, block=None)
+    @example(sc=_collusion(SkewParams(FieldSpec.binary(6)), trials=2), count=1, budget=5,
+             block=None)
+    # shards of 15 and 16 trials: five blocks of 3 each, then one trial
+    @example(sc=_collusion(GF5, trials=31), count=2, budget=5, block=3)
+    def test_lockstep_engine_matches_scalar_oracle(self, sc, count, budget, block):
         players, engine = [], attacks._collusion_lockstep
 
         def spy(*args):
@@ -818,7 +843,9 @@ class TestLockstep:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(shards, "_shard_count", lambda work, min_work: count)
             patch.setattr(attacks, "_LOCKSTEP_BUDGET", budget)
-            patch.setattr(attacks, "MIN_LOCKSTEP_TRIALS", 0)  # every shard on the engine
+            # every block on the engine, or every block but one-trial tails
+            patch.setattr(attacks, "MIN_LOCKSTEP_TRIALS", 0 if block is None else 2)
+            _blocks(patch, block)
             patch.setattr(attacks, "_collusion_lockstep", spy)
             got = run_scenario(sc)
             _scalar(patch)
@@ -861,6 +888,89 @@ class TestLockstep:
         assert got.trial_rows == engine.trial_rows
         assert list(got.domain_stats.items()) == list(engine.domain_stats.items())
         no_child_left()
+
+
+# a CLI run on one CPU with blocks of argv[1] trials; and a small process
+# that starts a command and prints its peak RSS in KiB (Linux's unit).
+# The run's own peak would count the process it was forked from.
+_BLOCKED_RUN = ("import os, sys; from skewcache import attacks, cli; "
+                "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+                "attacks._TRIAL_BLOCK = int(sys.argv[1]); sys.exit(cli.main(sys.argv[2:]))")
+_PEAK_OF = ("import resource, subprocess, sys; subprocess.run(sys.argv[1:], check=True); "
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+
+
+class TestTrialBlocks:
+    @pytest.mark.parametrize("sc", [
+        baseline_scenario(cache=conventional_config(8, 2, "random"),
+                          victim_access_probability=0.5),
+        default_scenario("galois_pp", galois_config(SP4), 300, 3, 0.5),
+        default_scenario("collusion", galois_config(SP4), 300, 3, 0.5),
+    ], ids=KINDS)
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_no_player_sees_more_than_a_block(self, monkeypatch, tmp_path, sc, count):
+        """Each call of the scalar loop and of collusion's lockstep player
+        gets at most _TRIAL_BLOCK trials, the calls that play tile the
+        trials in order, and the report and rows are those of one block."""
+        sc = dataclasses.replace(sc, record_trials=True)
+        monkeypatch.setattr(shards, "_shard_count", lambda work, min_work: count)
+        whole = run_scenario(sc)
+        log = tmp_path / "calls"
+        play_trials, engine = attacks._play_trials, attacks._collusion_lockstep
+
+        def note(first, stop, played):  # a file, so that forked shards are seen too
+            with open(log, "a") as fh:
+                fh.write(f"{first} {stop} {int(played is not None)}\n")
+            return played
+
+        def scalar(*args):
+            return note(*args[-2:], play_trials(*args))
+
+        def lockstep(*args):
+            play = engine(*args)
+            return lambda first, stop: note(first, stop, play(first, stop))
+
+        log.write_text("")
+        monkeypatch.setattr(attacks, "_TRIAL_BLOCK", 64)
+        monkeypatch.setattr(attacks, "_play_trials", scalar)
+        monkeypatch.setattr(attacks, "_collusion_lockstep", lockstep)
+        got = run_scenario(sc)
+        calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        assert all(stop - first <= 64 for first, stop, _ in calls)
+        played = sorted((first, stop) for first, stop, ok in calls if ok)
+        assert [first for first, _ in played] == [0] + [stop for _, stop in played[:-1]]
+        assert played[-1][1] == sc.trials
+        # collusion's blocks of 64 play on the engine, its shorter tails
+        # (under MIN_LOCKSTEP_TRIALS) on the scalar loop
+        declined = sum(not ok for *_, ok in calls)
+        assert declined == (sc.kind == "collusion") * (len(calls) - len(played))
+        assert _outcome(got) == _outcome(whole)
+        assert list(got.domain_stats.items()) == list(whole.domain_stats.items())
+        no_child_left()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    @pytest.mark.parametrize("argv", [
+        "baseline-pp --sets 64 --ways 8 --victim-prob 0.5",
+        "galois-pp --n 4 --victim-prob 0.5",
+        "collusion --n 2 --victim-prob 0.5",
+    ])
+    def test_peak_memory_bounded_by_the_block(self, argv):
+        """On one CPU, with blocks of 2,048 trials, a run of 32,768 trials
+        peaks at most 1 KiB a trial of one block (2 MiB) above a run of
+        4,096.  Playing its whole shard at once, the first would hold a
+        numpy stream or lockstep arrays for every trial: 4.5 to 10 MiB more."""
+        block, peaks = 2048, []
+        src = str(pathlib.Path(attacks.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for trials in (2 * block, 16 * block):
+            out = subprocess.run(
+                [sys.executable, "-c", _PEAK_OF, sys.executable, "-c", _BLOCKED_RUN, str(block),
+                 "attack", *argv.split(), "--trials", str(trials), "--output", os.devnull],
+                capture_output=True, text=True, check=True, env=env).stdout
+            peaks.append(int(out.split()[-1]))
+        assert peaks[0] > 20_000  # KiB: a run with numpy loaded, so the count is the run's
+        assert peaks[1] - peaks[0] < block  # 1 KiB a trial of a block
 
 
 class TestSweepAndReportPlumbing:

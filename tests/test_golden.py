@@ -65,6 +65,10 @@ CASES = {
     # (a two-word key) reseeds trial by trial
     "attack_baseline_pp_2p32.json":
         "attack baseline-pp --trials 10000 --seed 4294962296 --victim-prob 0.5",
+    # 35,000 trials a shard on two CPUs, 70,000 on one: past _TRIAL_BLOCK
+    # (2^14), so every shard plays several blocks through one trial memo
+    "attack_galois_pp_n4_70k.json":
+        "attack galois-pp --n 4 --trials 70000 --victim-prob 0.5 --seed 0",
 }
 # golden report file: golden trial log written by the same run
 TRIAL_LOGS = {
