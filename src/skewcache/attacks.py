@@ -32,13 +32,13 @@ steered only by the cache and the victim's activity, so a trial's
 outcome and stats delta follow from its activity and the residues of
 its draws, each ``getrandbits(64) % ways``.  Each shard keeps, for all
 its blocks, a tree per activity value keyed by those residues, whose
-leaves hold an outcome id, a stats delta and a reuse count.  A block of
-``MIN_STREAM_TRIALS`` or more takes its coins and first draws, bit for
-bit, from numpy (``_seeded_draws``).  Baseline prime-probe under LRU
-draws in no trial (a leaf at the root), galois-pp once or twice when
-the victim is active (its fill, and the refill of its probe's miss,
-evict at random: at most 2m - 1 paths), collusion 150 or more times
-(its squeeze), past the depth cap.
+leaves hold an outcome id, a stats delta and a reuse count.  A block
+takes its coins and first draws, bit for bit, from numpy
+(``_seeded_draws``), and reseeds the cache only for a trial it plays.
+Baseline prime-probe under LRU draws in no trial (a leaf at the root),
+galois-pp once or twice when the victim is active (its fill, and the
+refill of its probe's miss, evict at random: at most 2m - 1 paths),
+collusion 150 or more times (its squeeze), past the depth cap.
 
 So collusion's runner hands the trial driver a batch player,
 ``_collusion_lockstep``, which plays a block's trials together: one
@@ -109,11 +109,6 @@ _TARGET_TAG = 0x2FFFF
 MIN_SHARD_TRIALS = 256
 
 _MEMO_DEPTH = 4  # the longest draw path the trial memo keeps
-
-#: The fewest trials a block seeds in numpy (``_seeded_draws``, 9.4k ufunc
-#: calls at any size): on a 2-core x86-64 VM, it drew even with 8-12 us
-#: reseeds near 1,000-1,100 trials, alone or two shards at once.
-MIN_STREAM_TRIALS = 1500
 
 #: The most trials a shard plays at once (a block, which pays the 9.4k
 #: ufunc calls of ``_seeded_draws`` once).  Serial, 262,144 trials on one
@@ -253,16 +248,30 @@ _MT_INIT = tuple(accumulate(range(1, 624), lambda x, i: (1812433253 * (x ^ x >> 
 def _seeded_draws(seed: int, count: int, coin: bool):
     """Trials ``seed`` to ``seed + count - 1``: ``Random(s).random()`` of
     each (None without ``coin``) and its next ``_MEMO_DEPTH`` ``getrandbits(64)``,
-    a (count, depth) uint64 array; None for a block reaching 2**32 (two words).
+    a (count, depth) uint64 array; None past MT19937's 624 key words.
 
     ``Random.seed``'s MT19937 ``init_by_array`` (Matsumoto and Nishimura,
     1998) in a uint32 lane a trial, five in-place ufunc calls a step.  Step
-    i of its second loop reads word i as the first loop left it, so the first
-    loop runs again beside it: a lane holds a few words, never 624."""
-    if seed + count > 1 << 32:
+    k of its first loop adds key word k % L, and k % L, of an L-word key.
+    A block is split at each multiple of 2**32, so its seeds share every
+    word but the low one, and a step adds the lane's low word or one
+    constant.  Step i of its second loop reads word i as the first loop
+    left it, so the first loop runs again beside it: a lane holds a few
+    words, never 624."""
+    cut = (seed >> 32) + 1 << 32  # the next multiple of 2**32
+    if seed + count > cut:
+        parts = _seeded_draws(seed, cut - seed, coin), _seeded_draws(cut, seed + count - cut, coin)
+        if None in parts:
+            return None
+        coins, draws = zip(*parts)
+        return np.concatenate(coins) if coin else None, np.concatenate(draws)
+    size = max(1, -(-seed.bit_length() // 32))  # the key's words
+    if size > 624:
         return None
+    lanes = np.arange(seed & 0xFFFFFFFF, (seed & 0xFFFFFFFF) + count, dtype=np.uint32)
+    key = [lanes if k % size == 0 else (seed >> 32 * (k % size)) + k % size & 0xFFFFFFFF
+           for k in range(624)]  # what step k of the first loop adds
     words = 2 * _MEMO_DEPTH + 2 * coin  # random() takes two, each 64-bit draw two
-    key = np.arange(seed, seed + count, dtype=np.uint32)
     f, t, s, u, first = (np.empty(count, np.uint32) for _ in range(5))
     low, high = np.empty((words + 1, count), np.uint32), np.empty((words, count), np.uint32)
 
@@ -275,14 +284,14 @@ def _seeded_draws(seed: int, count: int, coin: bool):
 
     f.fill(_MT_INIT[0])
     for i in range(1, 624):  # the first loop
-        step(f, t, 1664525, _MT_INIT[i], key)
+        step(f, t, 1664525, _MT_INIT[i], key[i - 1])
         f, t = t, f
         if i == 1:
             first[:] = f
-    step(f, s, 1664525, first, key)  # its last step: i = 1 again, after mt[0] = mt[623]
+    step(f, s, 1664525, first, key[623])  # its last step: i = 1 again, after mt[0] = mt[623]
     f, first = first, s.copy()
     for i in range(2, 624):  # the second loop, beside the first again
-        step(f, t, 1664525, _MT_INIT[i], key)
+        step(f, t, 1664525, _MT_INIT[i], key[i - 1])
         f, t = t, f
         step(s, u, 1566083941, f, -i & 0xFFFFFFFF)
         s, u = u, s
@@ -330,12 +339,13 @@ def _play_trials(sc: AttackScenario, cache, snapshot, protocol, memo, first: int
 
     A trial draws its coin, walks its value's tree (module docstring) one
     ``getrandbits(64) % ways`` a node and takes the leaf it reaches, whose
-    stats delta the block adds once per reuse.  Off the tree, it reseeds
+    stats delta the block adds once per reuse.  From its first trial that
+    draws a coin or walks, a block takes its coins and residues from
+    ``_seeded_draws``.  Off the tree, a trial reseeds, draws its coin again
     and plays with its draws recorded, and adds their path unless the
     stream moved by more, the path is past ``_MEMO_DEPTH`` or the shard
-    holds ways² leaves: then the value is played from then on.  From its
-    first trial that would reseed to walk, a block of enough trials takes
-    coins and draws from ``_seeded_draws`` and reseeds to play.
+    holds ways² leaves: then the value is played from then on.  Past
+    MT19937's 624 key words the block plays every trial from there.
     """
     p = sc.victim_access_probability
     coin_draws = 0.0 < p < 1.0
@@ -345,41 +355,28 @@ def _play_trials(sc: AttackScenario, cache, snapshot, protocol, memo, first: int
     # value is played; outcomes: (active, detected, correct, value) -> id
     trees, leaves, outcomes = memo
     ids, opening = [], cache.stats()
-    # from trial start on, from numpy: activities, and _MEMO_DEPTH residues a trial
-    start = actives = stream = None
+    # from trial start on, from numpy: activities, and a list of _MEMO_DEPTH residues a trial
+    start = actives = None
     for trial in range(first, stop):
         if start is None and (coin_draws or type(trees.get(p >= 1.0)) is dict):
-            start = trial  # the first trial that would reseed to walk
-            streams = (_seeded_draws(sc.seed + trial, stop - trial, coin_draws)
-                       if stop - trial >= MIN_STREAM_TRIALS else None)
-            if streams is not None:
+            start = trial  # the first trial that draws a coin or walks
+            streams = _seeded_draws(sc.seed + trial, stop - trial, coin_draws)
+            if streams is not None:  # else every trial from here on is played
                 coins, draws = streams
                 actives = (coins < p).tolist() if coin_draws else [p >= 1.0] * len(draws)
-                stream = np.remainder(draws, ways, out=draws).ravel().tolist()
-        if actives is not None:  # seeded: the cache's stream is just past the coin
-            k = trial - start
-            active, seeded = actives[k], False
-            residues = iter(stream[k * _MEMO_DEPTH:(k + 1) * _MEMO_DEPTH])
+                stream = np.remainder(draws, ways, out=draws).tolist()
+        if actives is None:
+            node = trees.get(p >= 1.0, ()) if start is None else None
         else:
-            if coin_draws:
-                cache.reseed(sc.seed + trial)
-            active, residues, seeded = _trial_active(cache.rng, p), None, coin_draws
-        node = trees.get(active, ())
-        if type(node) is dict:
-            if residues is None:
-                if not seeded:
-                    cache.reseed(sc.seed + trial)
-                residues = (cache.rng.getrandbits(64) % ways for _ in range(_MEMO_DEPTH))
+            node, residues = trees.get(actives[trial - start], ()), iter(stream[trial - start])
             while type(node) is dict:
                 node = node.get(next(residues), ())
-            seeded = False
         if type(node) is list:
             node[2] += 1
             ids.append(node[0])
             continue
-        if not seeded:  # to be played: rewind to past the coin
-            cache.reseed(sc.seed + trial)
-            _trial_active(cache.rng, p)
+        cache.reseed(sc.seed + trial)  # to be played: the stream just past the coin
+        active = _trial_active(cache.rng, p)
         if node is not None:  # a new path: play it with its draws recorded
             before, drawn, real = cache.stats(), [], cache.rng.getrandbits
 

@@ -19,9 +19,9 @@ Two callers share the runner:
   prefix into a flushed cache, whose LRU clock restarts at 0, and the
   cache holds nothing yet when the children fork.  Each shard plays its
   blocks of trials through its own trial memo: its first trial of each
-  activity value and draw path, drawn in numpy or from a reseed, the
-  same stream, so a trial has the same outcome and stats delta in every
-  shard, and a shard's stats count each memoized trial once.  Collusion's
+  activity value and draw path, drawn in numpy as a reseed would draw
+  it, so a trial has the same outcome and stats delta in every shard,
+  and a shard's stats count each memoized trial once.  Collusion's
   lockstep engine (``attacks._collusion_lockstep``) plays every trial
   from its own ``Random(seed + trial)`` and the prefix's cells, so it
   has the same outcome and stats in any batch of any block.

@@ -8,7 +8,6 @@ can and cannot infer, and that everything replays bit-identically.
 import dataclasses
 import functools
 import json
-import math
 import os
 import pathlib
 import random
@@ -570,8 +569,10 @@ def memo_scenarios(draw):
     cfg = draw(st.sampled_from(MEMO_CACHES[kind]))
     sets = cfg.num_sets if kind == "baseline_pp" else cfg.skew.field.order
     prob = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
-    sc = default_scenario(kind, cfg, draw(st.integers(0, 40)), draw(st.integers(0, 2**32)),
-                          prob, draw(st.integers(0, sets - 1)))
+    # any seed to 2^96, or one that crosses 2^64 into a three-word key
+    seed = draw(st.integers(0, 2**96) | st.integers(2**64 - 40, 2**64))
+    sc = default_scenario(kind, cfg, draw(st.integers(0, 40)), seed, prob,
+                          draw(st.integers(0, sets - 1)))
     if kind != "collusion":
         sc = dataclasses.replace(sc, adversary_prime_set=draw(st.integers(0, sets - 1)))
     return dataclasses.replace(sc, record_trials=True)
@@ -622,21 +623,22 @@ def _blocks(patch, block):
 
 class TestSeededDraws:
     @settings(max_examples=max(100, settings().max_examples), deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 64), coin=st.booleans(),
+    @given(seed=st.integers(0, 2**96 - 1), count=st.integers(1, 64), coin=st.booleans(),
            ways=st.integers(1, 64))
     @example(seed=0, count=1, coin=True, ways=4)
     @example(seed=1, count=5, coin=False, ways=5)
     @example(seed=2**32 - 1, count=1, coin=True, ways=8)
     @example(seed=2**32 - 3, count=4, coin=False, ways=8)
+    @example(seed=2**32, count=3, coin=True, ways=8)
+    @example(seed=2**32 + 1, count=2, coin=False, ways=7)
+    @example(seed=2**64 - 2, count=5, coin=True, ways=8)
+    @example(seed=2**64, count=2, coin=False, ways=8)
     def test_seeded_draws_match_random_oracle(self, seed, count, coin, ways):
         """Each trial's coin and first 64-bit draws, and their residues,
-        are ``Random(seed + k)``'s; a block that reaches 2^32 is declined."""
-        assert attacks._seeded_draws(2**32 - count + 1, count, coin) is None
-        got = attacks._seeded_draws(seed, count, coin)
-        if seed + count > 2**32:
-            assert got is None
-            return
-        coins, draws = got
+        are ``Random(seed + k)``'s, across each multiple of 2^32; a seed
+        past MT19937's 624 key words is declined."""
+        assert attacks._seeded_draws(1 << 19968, 1, coin) is None
+        coins, draws = attacks._seeded_draws(seed, count, coin)
         assert draws.shape == (count, attacks._MEMO_DEPTH)
         assert (coins is None) != coin
         for k in range(count):
@@ -648,27 +650,19 @@ class TestSeededDraws:
             assert (draws[k] % ways).tolist() == [w % ways for w in words]
 
 
-# MIN_STREAM_TRIALS: numpy seeds every shard's trials, or none
-STREAM_SOURCES = (1, math.inf)
-
-
 class TestTrialMemo:
     @settings(max_examples=max(100, settings().max_examples), deadline=None)
     @given(sc=memo_scenarios(), count=st.integers(1, 3), block=BLOCKS)
     @_memo_examples
     def test_trial_memo_matches_every_trial_oracle(self, sc, count, block):
-        outcomes = []
         with pytest.MonkeyPatch.context() as patch:
             _scalar(patch)
             _blocks(patch, block)
             patch.setattr(shards, "_shard_count", lambda work, min_work: count)
-            for least in STREAM_SOURCES:
-                patch.setattr(attacks, "MIN_STREAM_TRIALS", least)
-                outcomes.append(_outcome(run_scenario(sc)))
+            memo = _outcome(run_scenario(sc))
             patch.setattr(attacks, "_play_trials", play_every_trial)
-            outcomes.append(_outcome(run_scenario(sc)))
-        assert outcomes[0] == outcomes[1] == outcomes[2]
-        r = outcomes[0][0]
+            assert memo == _outcome(run_scenario(sc))
+        r = memo[0]
         assert (r["true_positives"] + r["false_positives"] + r["false_negatives"]
                 + r["true_negatives"]) == sc.trials
         no_child_left()
@@ -677,18 +671,28 @@ class TestTrialMemo:
     @given(sc=memo_scenarios(), count=st.integers(1, 3), block=BLOCKS)
     @_memo_examples
     def test_trial_memo_plays_each_oracle_draw_path_once_a_shard(self, sc, count, block):
-        played = []
         with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
             _scalar(patch)
             _blocks(patch, block)
             patch.setattr(shards, "_shard_count", lambda work, min_work: count)
             restores = _counting(patch, pathlib.Path(tmp), "restore")
-            for least in STREAM_SOURCES:
-                patch.setattr(attacks, "MIN_STREAM_TRIALS", least)
-                run_scenario(sc)
-                played.append(restores() - sum(played))
-        assert played == [_played(sc, count)] * len(STREAM_SOURCES)
+            reseeds = _counting(patch, pathlib.Path(tmp), "reseed")
+            run_scenario(sc)
+            assert restores() == reseeds() == _played(sc, count)
         no_child_left()
+
+    def test_seed_past_the_mt19937_key_plays_every_trial(self, monkeypatch, tmp_path):
+        """A seed of more than 624 key words has no numpy streams: from its
+        first coin, the block plays every trial, as its oracle does."""
+        sc = dataclasses.replace(
+            default_scenario("galois_pp", galois_config(SP4), 3, 1 << 19968, 0.5),
+            record_trials=True)
+        monkeypatch.setattr(shards, "_shard_count", lambda work, min_work: 1)
+        restores = _counting(monkeypatch, tmp_path, "restore")
+        memo = _outcome(run_scenario(sc))
+        assert restores() == sc.trials
+        monkeypatch.setattr(attacks, "_play_trials", play_every_trial)
+        assert memo == _outcome(run_scenario(sc))
 
     # draws the tree cannot be keyed by: one past the recorder, one
     # narrower than 64 bits, one as long in the stream as a 64-bit draw
@@ -723,20 +727,17 @@ class TestTrialMemo:
         restores = _counting(monkeypatch, tmp_path, "restore")
         reseeds = _counting(monkeypatch, tmp_path, "reseed")
         report = run_scenario(sc)
-        assert restores() == 2 * count
-        # shards of 3,333 trials or more: numpy seeds them, and only a
-        # played trial reseeds the cache
-        assert reseeds() == 2 * count
+        # numpy draws every coin, and only a played trial reseeds the cache
+        assert restores() == reseeds() == 2 * count
         assert 0 < report.true_positives < sc.trials
         with monkeypatch.context() as patch:
-            patch.setattr(attacks, "MIN_STREAM_TRIALS", math.inf)
+            patch.setattr(attacks, "_play_trials", play_every_trial)
             assert _outcome(run_scenario(sc)) == _outcome(report)
-        assert restores() == 4 * count
-        assert reseeds() == 2 * count + sc.trials  # per trial, the coin's
+        assert restores() == reseeds() == 2 * count + sc.trials
         sc = dataclasses.replace(sc, victim_access_probability=1.0)
         report = run_scenario(sc)
-        # no coin: only a played trial reseeds, and no trial walks
-        assert reseeds() == 2 * count + sc.trials + count
+        # no coin: one played trial a shard, and no trial walks
+        assert restores() == reseeds() == 3 * count + sc.trials
         assert report.true_positives == sc.trials
 
     @pytest.mark.parametrize("count", [1, 3])
@@ -771,8 +772,7 @@ class TestTrialMemo:
         with monkeypatch.context() as patch:
             _scalar(patch)
             scalar = run_scenario(sc)
-            assert restores() == sc.trials
-            assert reseeds() == sc.trials  # a played value reseeds once a trial
+            assert restores() == reseeds() == sc.trials  # a played value, every trial
             sc = dataclasses.replace(sc, victim_access_probability=1.0)
             run_scenario(sc)
             assert reseeds() == 2 * sc.trials  # no coin: the play's reseed alone

@@ -58,13 +58,18 @@ CASES = {
     # GF(64): squeeze groups of 64 lines, past the lockstep engine's
     # 62-bit gone mask, so the squeeze takes fill_group's scalar kernel
     "attack_collusion_n6.json": f"attack collusion --n 6 --trials 100 {ATTACK}",
-    # 3,500 trials a shard on two CPUs, 7,000 on one: past MIN_STREAM_TRIALS,
-    # so each shard seeds its trials in numpy
+    # 3,500 trials a shard on two CPUs, 7,000 on one, each shard seeding
+    # its trials in numpy
     "attack_galois_pp_n4.json": f"attack galois-pp --n 4 --trials 7000 {ATTACK}",
-    # seeds 2^32 - 5,000 to 2^32 + 4,999: a shard whose seeds reach 2^32
-    # (a two-word key) reseeds trial by trial
+    # seeds 2^32 - 5,000 to 2^32 + 4,999: numpy seeds two-word keys (shard 1
+    # on two CPUs; on one, the block split at 2^32), against bytes written
+    # by reseeding each trial
     "attack_baseline_pp_2p32.json":
         "attack baseline-pp --trials 10000 --seed 4294962296 --victim-prob 0.5",
+    # seeds 2^64 - 1,000 to 2^64 + 5,999: shard 0 on two CPUs, or the one
+    # block on one, crosses into three-word keys; written by reseeding each trial
+    "attack_galois_pp_n4_2p64.json":
+        "attack galois-pp --n 4 --trials 7000 --victim-prob 0.5 --seed 18446744073709550616",
     # 35,000 trials a shard on two CPUs, 70,000 on one: past _TRIAL_BLOCK
     # (2^14), so every shard plays several blocks through one trial memo
     "attack_galois_pp_n4_70k.json":
