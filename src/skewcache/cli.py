@@ -4,14 +4,15 @@ Subcommands: ``verify`` (structural checks), ``simulate`` (trace
 replay), ``attack`` (Monte Carlo experiments), ``cost`` (XOR-gate
 model).  Reports are JSON (default) or CSV, to stdout or ``--output``.
 
-Every option is one row of ``OPTIONS``, from which the parser, the
-``--config`` merge and the report's ``config`` echo are derived.  Any
-option can be given as a flag or as a key of the ``--config`` JSON
-object.  Precedence, highest first: explicit flag, config file, the
-row's default.  Config values are type-checked, and unknown keys
-rejected, before any command runs.  Numeric flags accept decimal, 0x
-and 0b literals.  Exit codes: 0 success, 1 verification violations, 2
-invalid configuration or input.
+Every option is one row of ``OPTIONS``, which names the runs that read
+it; the parser, the ``--config`` merge and the report's ``config`` echo
+are derived from it.  Any option can be given as a flag or as a key of
+the ``--config`` JSON object.  Precedence, highest first: explicit flag,
+config file, the row's default.  Config values are type-checked, and
+unknown keys and options the run does not read rejected, before any
+command runs.  Numeric flags accept decimal, 0x and 0b literals.  Exit
+codes: 0 success, 1 verification violations, 2 invalid configuration or
+input.
 """
 
 from __future__ import annotations
@@ -38,74 +39,83 @@ from .field import FieldSpec, poly_str
 from .skew import SkewParams, verify_diagonalization, verify_way_bijection
 from .trace import load_trace, replay
 
-_ALL = "verify simulate attack cost"  # every subcommand
+_ALL = "verify cost simulate attack"  # every subcommand, all of its kinds
+_FIELD = "verify cost simulate:galois simulate:stacked-galois attack:galois-pp attack:collusion"
+_TRIALS = "attack:baseline-pp attack:galois-pp attack:collusion"  # one scenario each
 
 
-def _on(commands: str, default, **per_command) -> dict:
-    """Subcommand -> default for each of the space-separated ``commands``."""
-    return {c: per_command.get(c, default) for c in commands.split()}
+def _on(readers: str, default, **per_command) -> dict:
+    """Reader -> default for each of the space-separated ``readers``: a
+    subcommand all of whose kinds read the option, or ``subcommand:kind``."""
+    return {r: per_command.get(r.partition(":")[0], default) for r in readers.split()}
 
 
 class Option(NamedTuple):
     """One option: flag ``--name`` (dashes for underscores), config key ``name``.
 
     ``type`` is int, float, str or bool, or a tuple of allowed strings.
-    ``defaults`` maps each subcommand that takes the option to its
-    default; a None default makes the option nullable.  ``echo`` says
-    which reports echo the resolved value in their ``config``: "" none,
-    "run" simulate and single-kind attack reports, "sweep" attack sweep
-    reports as well.  verify and cost echo the resolved field instead.
+    ``defaults`` maps each reader (see ``_on``) to its default; a None
+    default makes the option nullable.  A subcommand takes the option if
+    one of its kinds reads it.  ``echo`` is False for the options that
+    only steer the output; simulate and attack reports echo the others
+    their run read, verify and cost the resolved field.
     """
 
     name: str
     type: object
     defaults: dict
-    echo: str = "run"
+    echo: bool = True
     help: str | None = None
 
 
 OPTIONS = (
-    Option("p", int, _on(_ALL, 2), help="field characteristic (prime)"),
-    Option("n", int, _on(_ALL, 2, cost=3), help="extension degree"),
-    Option("modulus", int, _on(_ALL, 0),
+    Option("p", int, _on(_FIELD, 2), help="field characteristic (prime)"),
+    Option("n", int, _on(_FIELD, 2, cost=3), help="extension degree"),
+    Option("modulus", int, _on(_FIELD, 0),
            help="reducing polynomial; 0 picks the built-in default"),
-    Option("a", int, _on(_ALL, 1)),
-    Option("b", int, _on(_ALL, 1)),
-    Option("c", int, _on(_ALL, 0)),
-    Option("seed", int, _on("simulate attack", 0), "sweep"),
+    Option("a", int, _on(_FIELD, 1)),
+    Option("b", int, _on(_FIELD, 1)),
+    Option("c", int, _on(_FIELD, 0)),
     Option("kind", ("galois", "conventional", "stacked-galois"),
            _on("simulate", "galois")),
-    Option("sets", int, _on("simulate attack", 4),
-           help="conventional cache sets (attack: baseline-pp)"),
-    Option("ways", int, _on("simulate attack", 4)),
-    Option("replacement", ("random", "lru"),
-           _on("simulate attack", "random", attack="lru")),
     Option("offset_bits", int, _on("simulate", 6)),
-    Option("stack_bits", int, _on("simulate", 0)),
-    Option("trials", int, _on("attack", 10000), "sweep"),
-    Option("victim_domain", int, _on("attack", 2)),
-    Option("adversary_domain", int, _on("attack", 1)),
-    Option("prober_domain", int, _on("attack", 1)),
-    Option("squeezer_domain", int, _on("attack", 0)),
-    Option("victim_set", int, _on("attack", 0)),
-    Option("prime_set", int, _on("attack", None)),
-    Option("skip_set", int, _on("attack", None)),
-    Option("victim_prob", float, _on("attack", 1.0), "sweep",
+    Option("sets", int, _on("simulate:conventional attack:baseline-pp", 4),
+           help="conventional cache sets"),
+    Option("ways", int, _on("simulate:conventional attack:baseline-pp", 4)),
+    Option("replacement", ("random", "lru"),
+           _on("simulate:conventional attack:baseline-pp", "random", attack="lru")),
+    Option("stack_bits", int, _on("simulate:stacked-galois", 0)),
+    Option("seed", int, _on("simulate attack", 0)),
+    Option("trials", int, _on("attack", 10000)),
+    Option("victim_prob", float, _on("attack", 1.0),
            help="victim activity probability"),
-    Option("n_min", int, _on("attack", 2), "sweep"),
-    Option("n_max", int, _on("attack", 4), "sweep"),
-    Option("sweep_kind", ("galois-pp", "collusion"), _on("attack", "galois-pp"),
-           "sweep"),
-    Option("trial_log", str, _on("attack", None), "",
+    Option("victim_domain", int, _on(_TRIALS, 2)),
+    Option("victim_set", int, _on(_TRIALS, 0)),
+    Option("trial_log", str, _on(_TRIALS, None), False,
            help="write one CSV row per trial to this path"),
-    Option("emit_netlists", str, _on("cost", None), "",
+    Option("adversary_domain", int, _on("attack:baseline-pp attack:galois-pp", 1)),
+    Option("prime_set", int, _on("attack:baseline-pp attack:galois-pp", None)),
+    Option("prober_domain", int, _on("attack:collusion", 1)),
+    Option("squeezer_domain", int, _on("attack:collusion", 0)),
+    Option("skip_set", int, _on("attack:collusion", None)),
+    Option("n_min", int, _on("attack:sweep", 2)),
+    Option("n_max", int, _on("attack:sweep", 4)),
+    Option("sweep_kind", ("galois-pp", "collusion"), _on("attack:sweep", "galois-pp")),
+    Option("emit_netlists", str, _on("cost", None), False,
            help="directory for one netlist file per way"),
-    Option("format", ("json", "csv"), _on(_ALL, "json"), ""),
-    Option("output", str, _on(_ALL, None), "",
+    Option("format", ("json", "csv"), _on(_ALL, "json"), False),
+    Option("output", str, _on(_ALL, None), False,
            help="write the report here instead of stdout"),
-    Option("no_timestamp", bool, _on(_ALL, False), "",
+    Option("no_timestamp", bool, _on(_ALL, False), False,
            help="omit the generated_at field from JSON reports"),
 )
+
+
+def _run_defaults(command: str, kind: str | None) -> dict:
+    """Option name -> default, for every option the run reads."""
+    readers = (command, f"{command}:{kind}")
+    return {o.name: o.defaults[r] for o in OPTIONS for r in readers if r in o.defaults}
+
 
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
                bool: "true or false"}
@@ -126,9 +136,9 @@ def _flag_kwargs(kind) -> dict:
     return {"type": _int_literal if kind is int else kind}
 
 
-def _checked(opt: Option, command: str, value):
+def _checked(opt: Option, value):
     """A config-file value, after checking it against the option's type."""
-    if value is None and opt.defaults[command] is None:
+    if value is None and None in opt.defaults.values():
         return None
     if opt.type is float and type(value) is int:
         value = float(value)
@@ -144,10 +154,12 @@ def _checked(opt: Option, command: str, value):
 
 
 def _resolve(args) -> dict:
-    """The parsed arguments, each option set by its flag, else its config key,
-    else its default; the config file is read and checked once, here."""
-    command = args.command
-    options = {o.name: o for o in OPTIONS if command in o.defaults}
+    """The parsed arguments, each option the run (the subcommand and its
+    kind) reads set by its flag, else its config key, else its default; an
+    option it does not read is refused if set, and left out otherwise."""
+    cfg = dict(vars(args))
+    command = cfg["command"]
+    options = {o.name: o for o in OPTIONS if o.name in cfg}  # what the parser took
     file_cfg = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -157,18 +169,28 @@ def _resolve(args) -> dict:
     for key, value in file_cfg.items():
         if key not in options:
             raise ValueError(f"config key {key!r} is not an option of {command}")
-        file_cfg[key] = _checked(options[key], command, value)
-    cfg = dict(vars(args))
-    for name, o in options.items():
-        if cfg[name] is None:
-            cfg[name] = file_cfg.get(name, o.defaults[command])
-    return cfg
+        file_cfg[key] = _checked(options[key], value)
+    given = {**file_cfg, **{k: cfg[k] for k in options if cfg[k] is not None}}
+    kind = cfg.get("which") or given.get("kind", _run_defaults(command, None).get("kind"))
+    reads = _run_defaults(command, kind)
+    run = f"{command} {kind}" if kind else command
+    digits = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    too_long = 10 ** digits if digits else float("inf")  # as str() refuses it
+    for name, value in given.items():
+        source = f"--{name.replace('_', '-')}" if cfg[name] is not None else f"config key {name!r}"
+        if name not in reads:
+            raise ValueError(f"{source} is not read by {run}")
+        if type(value) is int and abs(value) >= too_long:
+            raise ValueError(f"{source} has more than {digits} decimal digits")
+    if given.get("seed", 0) < 0:  # random.Random would seed from |seed|
+        raise ValueError(f"seed {given['seed']} is negative")
+    cfg = {k: v for k, v in cfg.items() if k not in options}
+    return cfg | {name: given.get(name, default) for name, default in reads.items()}
 
 
-def _echo(cfg: dict, sweep: bool = False) -> dict:
-    """The subcommand's echoed options; only those marked "sweep" if ``sweep``."""
-    return {o.name: cfg[o.name] for o in OPTIONS if cfg["command"] in o.defaults
-            and o.echo and (o.echo == "sweep" or not sweep)}
+def _echo(cfg: dict) -> dict:
+    """The options the run read, but those that only steer its output."""
+    return {o.name: cfg[o.name] for o in OPTIONS if o.echo and o.name in cfg}
 
 
 def _field_and_skew(cfg: dict) -> SkewParams:
@@ -253,8 +275,6 @@ def _cache_config(cfg: dict) -> CacheConfig:
 
 
 def cmd_simulate(cfg: dict) -> int:
-    if cfg["seed"] < 0:  # random.Random would seed from |seed|
-        raise ValueError(f"seed {cfg['seed']} is negative")
     cache_cfg = _cache_config(cfg)
     cache = build_cache(cache_cfg, cfg["seed"])
     ops = replay(cache, load_trace(cfg["trace"], cache_cfg.num_domains))
@@ -285,26 +305,24 @@ def _attack_scenario(which: str, cfg: dict, record_trials: bool) -> AttackScenar
     kind = which.replace("-", "_")
     if kind == "baseline_pp":
         cache = conventional_config(cfg["sets"], cfg["ways"], cfg["replacement"])
-        adversaries = (cfg["adversary_domain"],)
     else:
-        sp = _field_and_skew(cfg)
-        cache = galois_config(sp)
-        if kind == "collusion":
-            adversaries = (cfg["prober_domain"], cfg["squeezer_domain"])
-        else:
-            adversaries = (cfg["adversary_domain"],)
+        cache = galois_config(_field_and_skew(cfg))
+    if kind == "collusion":
+        roles = {"adversary_domains": (cfg["prober_domain"], cfg["squeezer_domain"]),
+                 "squeezer_skip_set": cfg["skip_set"]}
+    else:
+        roles = {"adversary_domains": (cfg["adversary_domain"],),
+                 "adversary_prime_set": cfg["prime_set"]}
     return AttackScenario(
         kind=kind,
         cache=cache,
         victim_domain=cfg["victim_domain"],
-        adversary_domains=adversaries,
         victim_target_set=cfg["victim_set"],
         trials=cfg["trials"],
         seed=cfg["seed"],
         victim_access_probability=cfg["victim_prob"],
-        adversary_prime_set=cfg["prime_set"],
-        squeezer_skip_set=cfg["skip_set"],
         record_trials=record_trials,
+        **roles,
     )
 
 
@@ -319,39 +337,26 @@ def _write_trial_log(path, rows: list[dict]) -> None:
 def cmd_attack(cfg: dict) -> int:
     which = cfg["which"]
     if which == "sweep":
-        if cfg["trial_log"]:
-            raise ValueError("--trial-log is not read by attack sweep")
         n_range = range(cfg["n_min"], cfg["n_max"] + 1)
         swept = cfg["sweep_kind"].replace("-", "_")
         rows = sweep_detection_vs_field(
             swept, n_range, cfg["trials"], cfg["seed"], cfg["victim_prob"]
         )
-        payload = {
-            "command": "attack",
-            "kind": "sweep",
-            "config": _echo(cfg, sweep=True),
-            "rows": rows,
-        }
+        result = {"kind": "sweep", "rows": rows}
         header = ["n", "order", "theoretical_rate", "detection_rate", "ci_low",
                   "ci_high", "trials"]
         table = [[r[k] for k in header] for r in rows]
-        _emit(cfg, payload, header, table)
-        return 0
-    scenario = _attack_scenario(which, cfg, record_trials=bool(cfg["trial_log"]))
-    report = run_scenario(scenario)
-    if cfg["trial_log"]:
-        _write_trial_log(cfg["trial_log"], report.trial_rows or [])
-    payload = {
-        "command": "attack",
-        "kind": scenario.kind,
-        "config": _echo(cfg),
-        "report": report.to_dict(),
-    }
-    header = ["kind", "trials", "true_positives", "false_positives",
-              "false_negatives", "true_negatives", "detection_rate",
-              "ci_low", "ci_high"]
-    rows = [[getattr(report, k) for k in header]]
-    _emit(cfg, payload, header, rows)
+    else:
+        scenario = _attack_scenario(which, cfg, record_trials=bool(cfg["trial_log"]))
+        report = run_scenario(scenario)
+        if cfg["trial_log"]:
+            _write_trial_log(cfg["trial_log"], report.trial_rows or [])
+        result = {"kind": scenario.kind, "report": report.to_dict()}
+        header = ["kind", "trials", "true_positives", "false_positives",
+                  "false_negatives", "true_negatives", "detection_rate",
+                  "ci_low", "ci_high"]
+        table = [[getattr(report, k) for k in header]]
+    _emit(cfg, {"command": "attack", "config": _echo(cfg), **result}, header, table)
     return 0
 
 
@@ -413,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON object of option values, keyed by "
                        "option name")
         for o in OPTIONS:
-            if command in o.defaults:
+            if any(r.partition(":")[0] == command for r in o.defaults):
                 p.add_argument("--" + o.name.replace("_", "-"), dest=o.name,
                                default=None, help=o.help, **_flag_kwargs(o.type))
         p.set_defaults(handler=handler)
@@ -426,7 +431,7 @@ _OUTPUT_FILES = ("output", "trial_log")
 
 def _check_output_files(cfg: dict) -> None:
     """Refuse, before any work runs, an output file that cannot be created,
-    or one that two options name."""
+    one that two options name, or a netlist directory that cannot be made."""
     seen = {}  # real path -> flag naming it
     for name in _OUTPUT_FILES:
         path = cfg.get(name)
@@ -441,6 +446,11 @@ def _check_output_files(cfg: dict) -> None:
         other = seen.setdefault(os.path.realpath(path), flag)
         if other != flag:
             raise ValueError(f"{flag} {path} names the same file as {other}")
+    netlists = existing = cfg.get("emit_netlists")
+    while existing and not os.path.exists(existing):  # what makedirs would create
+        existing = os.path.dirname(existing) or "."
+    if existing and not os.path.isdir(existing):
+        raise ValueError(f"--emit-netlists {netlists}: {existing} is not a directory")
 
 
 def main(argv=None) -> int:

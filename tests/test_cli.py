@@ -3,9 +3,11 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -454,7 +456,8 @@ class TestConfigMerge:
         assert err.startswith("error:") and err.count("\n") == 1
 
 
-# galois-pp option values that keep a GF(4) or GF(8) scenario valid
+# values of the echoed options galois-pp reads that keep a GF(4) or GF(8)
+# scenario valid
 GALOIS_PP_VALUES = {
     "p": st.just(2),
     "n": st.sampled_from([2, 3]),
@@ -465,26 +468,15 @@ GALOIS_PP_VALUES = {
     "seed": st.integers(0, 2 ** 32),
     "victim_domain": st.sampled_from([2, 3]),
     "adversary_domain": st.sampled_from([0, 1]),
-    "prober_domain": st.integers(0, 9),
-    "squeezer_domain": st.integers(0, 9),
     "victim_set": st.integers(0, 3),
     "prime_set": st.integers(0, 3),
-    "skip_set": st.integers(0, 3),
     "victim_prob": st.sampled_from([0.0, 0.25, 0.5, 1.0]),
-    "sets": st.sampled_from([1, 2, 64]),
-    "ways": st.integers(1, 8),
-    "replacement": st.sampled_from(["random", "lru"]),
-    "n_min": st.integers(2, 6),
-    "n_max": st.integers(2, 6),
-    "sweep_kind": st.sampled_from(["galois-pp", "collusion"]),
 }
-# the config echo of an attack run with no flags and no config file
+# the config echo of a galois-pp run with no flags and no config file
 ATTACK_ECHO_DEFAULTS = {
     "p": 2, "n": 2, "modulus": 0, "a": 1, "b": 1, "c": 0, "trials": 10000,
-    "seed": 0, "victim_domain": 2, "adversary_domain": 1, "prober_domain": 1,
-    "squeezer_domain": 0, "victim_set": 0, "prime_set": None, "skip_set": None,
-    "victim_prob": 1.0, "sets": 4, "ways": 4, "replacement": "lru",
-    "n_min": 2, "n_max": 4, "sweep_kind": "galois-pp",
+    "seed": 0, "victim_domain": 2, "adversary_domain": 1, "victim_set": 0,
+    "prime_set": None, "victim_prob": 1.0,
 }
 
 
@@ -560,10 +552,29 @@ FUZZ_VALUES = {
     "emit_netlists": ["{tmp}/nets", "{tmp}/file", "{tmp}/file/nets"],
     "no_timestamp": [True, False],
 }
-# values of the wrong type, as a flag's text and as a config value
-_WRONG_FLAG = {int: ["x", "1.5", "0x"], float: ["x", "0.5.0"], bool: ["yes"]}
+# 2^14300, 4,305 decimal digits: a flag's hex text past Python's default
+# limit of 4,300 digits for int-to-decimal conversion (JSON cannot hold it)
+PAST_DIGIT_LIMIT = "0x1" + "0" * 3575
+# values of the wrong type, and the integer past the digit limit, as a
+# flag's text; values of the wrong type as a config value
+_WRONG_FLAG = {int: ["x", "1.5", "0x", PAST_DIGIT_LIMIT], float: ["x", "0.5.0"],
+               bool: ["yes"]}
 _WRONG_CONFIG = {int: ["3", 1.5, True, [1]], float: ["0.5", True], str: [5, True],
                  bool: ["yes", 1]}
+# the work a run does once its input is checked
+WORK = ("run_scenario", "sweep_detection_vs_field", "verify_diagonalization",
+        "permutation_cost", "replay")
+
+
+def _run_of(run):
+    """A FUZZ_RUNS entry's subcommand and kind (None for verify and cost)."""
+    return run[0], run[-1] if len(run) > 1 else None
+
+
+def _taken(command):
+    """The options ``command``'s parser takes: those one of its kinds reads."""
+    return [o for o in cli.OPTIONS
+            if any(r.partition(":")[0] == command for r in o.defaults)]
 
 
 def _fuzz_value(opt, where):
@@ -578,10 +589,11 @@ def _fuzz_value(opt, where):
 @st.composite
 def cli_runs(draw):
     """A run, its flags and its config file (an object, or a text that is
-    not one)."""
+    not one), drawn from every option its subcommand takes, whether the
+    run reads it or not."""
     run = draw(st.sampled_from(FUZZ_RUNS))
-    options = {o.name: o for o in cli.OPTIONS
-               if run[0] in o.defaults and not (run[0] == "simulate" and o.name == "kind")}
+    options = {o.name: o for o in _taken(run[0])
+               if not (run[0] == "simulate" and o.name == "kind")}
     names = draw(st.sets(st.sampled_from(sorted(options)), max_size=6))
     if run[0] == "attack":
         names.add("trials")  # the default, 10,000 trials, would fork
@@ -598,15 +610,17 @@ def cli_runs(draw):
 
 
 def _must_refuse(run, resolved) -> bool:
-    """Whether the run reads a value it must refuse: a negative modulus,
-    or a nonzero one for a prime field, where it builds a field; a
-    negative seed."""
-    modulus, n, seed = (resolved.get(k) for k in ("modulus", "n", "seed"))
-    builds_field = run[0] in ("verify", "cost") or run[-1] in (
-        "galois", "stacked-galois", "galois-pp", "collusion")
-    if builds_field and type(modulus) is int and (modulus < 0 or (n == 1 and modulus)):
+    """Whether the run is given a value it must refuse: an option it does
+    not read; an integer past the digit limit; a negative modulus, or a
+    nonzero one for a prime field; a negative seed."""
+    if set(resolved) - set(cli._run_defaults(*_run_of(run))):
         return True
-    return run[0] in ("attack", "simulate") and type(seed) is int and seed < 0
+    if PAST_DIGIT_LIMIT in resolved.values():
+        return True
+    modulus, n, seed = (resolved.get(k) for k in ("modulus", "n", "seed"))
+    if type(modulus) is int and (modulus < 0 or (n == 1 and modulus)):
+        return True
+    return type(seed) is int and seed < 0
 
 
 def _run_main(argv):
@@ -627,9 +641,12 @@ def _run_main(argv):
 @example(case=(("attack", "galois-pp"), {"trials": 20, "seed": -1}, {}))
 @example(case=(("attack", "sweep"), {"trials": 0}, {"seed": -1}))
 @example(case=(FUZZ_RUNS[2], {}, {"seed": -7}))
+@example(case=(("attack", "galois-pp"), {"trials": 0, "sets": 5}, {"n_min": 9}))
+@example(case=(("attack", "collusion"), {"trials": 20, "seed": PAST_DIGIT_LIMIT}, {}))
 def test_exit_code_fuzz(case):
     """Every run exits 0 or 2, without a traceback; an exit 2 writes
-    nothing to stdout and ends stderr with an ``error:`` line.  The
+    nothing to stdout and ends stderr with an ``error:`` line.  A run
+    that must be refused exits 2 before any of its work is called.  The
     example budget comes from the loaded Hypothesis profile
     (HYPOTHESIS_PROFILE=ci, see tests/conftest.py)."""
     run, flags, file_cfg = case
@@ -648,7 +665,10 @@ def test_exit_code_fuzz(case):
         config = Path(tmp, "cfg.json")
         config.write_text(file_cfg if isinstance(file_cfg, str) else
                           json.dumps({k: place(v) for k, v in file_cfg.items()}))
-        code, out, err = _run_main([*argv, "--config", str(config)])
+        with contextlib.ExitStack() as stack:
+            work = [stack.enter_context(mock.patch.object(cli, name, wraps=getattr(cli, name)))
+                    for name in WORK]
+            code, out, err = _run_main([*argv, "--config", str(config)])
     assert code in (0, 2), err
     assert "Traceback" not in err
     if code == 2:
@@ -657,3 +677,122 @@ def test_exit_code_fuzz(case):
     resolved = {**(file_cfg if isinstance(file_cfg, dict) else {}), **flags}
     if _must_refuse(run, resolved):
         assert code == 2, (code, err)
+        assert [name for name, spy in zip(WORK, work) if spy.called] == [], err
+
+
+# -- the option table: what each run reads --------------------------------
+
+# every option a run's subcommand takes but the run does not read
+UNREAD = [(run, o.name) for run in FUZZ_RUNS for o in _taken(run[0])
+          if o.name not in cli._run_defaults(*_run_of(run))]
+
+
+def _run_label(run):
+    return " ".join(part for part in _run_of(run) if part)
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("run,name", UNREAD,
+                         ids=[f"{_run_label(run)}-{name}" for run, name in UNREAD])
+def test_unread_option_refused(tmp_path, monkeypatch, capsys, run, name, where):
+    """Set by flag or config key, any option the run does not read exits 2
+    with one line naming it and the run, before any work or output."""
+    for work in WORK:
+        monkeypatch.setattr(cli, work, _refuse)
+    value = FUZZ_VALUES[name][0]
+    if isinstance(value, str):
+        value = value.replace("{tmp}", str(tmp_path))
+    report = tmp_path / "report.json"
+    argv = [*run, "--output", str(report)]
+    if where == "flag":
+        source = "--" + name.replace("_", "-")
+        argv += [source, str(value)]
+    else:
+        source = f"config key {name!r}"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({name: value}))
+        argv += ["--config", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {source} is not read by {_run_label(run)}\n")
+    assert not report.exists()
+
+
+def test_unread_options_count():
+    """171 settable values across the nine runs, of which 111 are read."""
+    taken = sum(len(_taken(run[0])) for run in FUZZ_RUNS)
+    assert (taken, len(UNREAD)) == (171, 60)
+
+
+def test_integer_past_the_digit_limit_refused_first(tmp_path, monkeypatch, capsys):
+    """A report echoes integers in decimal, so one it could not echo is
+    refused before the first trial: 2^14300 as a hex --seed."""
+    for work in WORK:
+        monkeypatch.setattr(cli, work, _refuse)
+    report = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "attack", "galois-pp", "--trials", "50",
+                             "--seed", PAST_DIGIT_LIMIT, "--output", str(report))
+    assert (code, out) == (2, "")
+    assert err == "error: --seed has more than 4300 decimal digits\n"
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("where", ["file", "under-file"])
+def test_netlist_path_checked_first(tmp_path, monkeypatch, capsys, where):
+    """A netlist directory that cannot be made (an existing file, or a path
+    under one) is refused before the cost report is computed."""
+    monkeypatch.setattr(cli, "permutation_cost", _refuse)
+    (tmp_path / "file").write_text("")
+    path = tmp_path / "file" / ("nets" if where == "under-file" else "")
+    code, out, err = run_cli(capsys, "cost", "--n", "3", "--emit-netlists", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: --emit-netlists {path}: {tmp_path / 'file'} is not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+class _ReadKeys(dict):
+    """A run's cfg that records each key its handler reads."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+# small flags per subcommand, so that each handler runs in full and fast
+HANDLER_FLAGS = {"verify": ["--n", "2"], "cost": ["--n", "2", "--emit-netlists", "{tmp}"],
+                 "simulate": [], "attack": ["--trials", "20"]}
+
+
+@pytest.mark.parametrize("run", FUZZ_RUNS, ids=_run_label)
+def test_handler_reads_the_options_the_table_names(tmp_path, monkeypatch, run):
+    """Each handler reads exactly the options ``cli.OPTIONS`` names for its
+    run, output-control ones included.  Every option is in the mapping the
+    handler gets, so one it reads and the table does not name shows.  The
+    report's echo reads whatever the run was given, so it is left out."""
+    monkeypatch.setattr(cli, "_echo", lambda cfg: {})
+    flags = [f.replace("{tmp}", str(tmp_path / "nets")) for f in HANDLER_FLAGS[run[0]]]
+    args = cli.build_parser().parse_args([*run, *flags, "--output", str(tmp_path / "out")])
+    cfg = _ReadKeys({**{o.name: next(iter(o.defaults.values())) for o in cli.OPTIONS},
+                     **cli._resolve(args)})
+    assert args.handler(cfg) == 0
+    assert cfg.read & {o.name for o in cli.OPTIONS} == set(cli._run_defaults(*_run_of(run)))
+
+
+def test_readme_lists_every_option_and_its_readers():
+    """README's option table is ``cli.OPTIONS``, one row per run of options
+    with the same readers and echo, in order."""
+    rows = []
+    for (readers, echo), group in itertools.groupby(
+            cli.OPTIONS, key=lambda o: (tuple(o.defaults), o.echo)):
+        flags = " ".join("--" + o.name.replace("_", "-") for o in group)
+        runs = ", ".join(r.replace(":", " ") for r in readers)
+        rows.append(f"| `{flags}` | {runs} | {'yes' if echo else 'no'} |")
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    assert [line for line in readme.splitlines() if line.startswith("| `--")] == rows
