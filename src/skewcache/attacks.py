@@ -155,6 +155,9 @@ class AttackScenario:
         # trial t reseeds with seed + t and Random(s) seeds from |s|
         if self.seed < 0:
             raise ValueError(f"seed {self.seed} is negative")
+        # _seeded_draws seeds a trial from its key of at most 624 words
+        if self.seed + self.trials > 1 << 19968:
+            raise ValueError("trial seeds must be below 2^19968, MT19937's 624 key words")
         if not 0.0 <= self.victim_access_probability <= 1.0:
             raise ValueError("victim_access_probability must be in [0, 1]")
         domains = (self.victim_domain, *self.adversary_domains)
@@ -248,7 +251,8 @@ _MT_INIT = tuple(accumulate(range(1, 624), lambda x, i: (1812433253 * (x ^ x >> 
 def _seeded_draws(seed: int, count: int, coin: bool):
     """Trials ``seed`` to ``seed + count - 1``: ``Random(s).random()`` of
     each (None without ``coin``) and its next ``_MEMO_DEPTH`` ``getrandbits(64)``,
-    a (count, depth) uint64 array; None past MT19937's 624 key words.
+    a (count, depth) uint64 array.  Seeds are below 2**19968, keys of at
+    most 624 words (``AttackScenario``).
 
     ``Random.seed``'s MT19937 ``init_by_array`` (Matsumoto and Nishimura,
     1998) in a uint32 lane a trial, five in-place ufunc calls a step.  Step
@@ -260,14 +264,10 @@ def _seeded_draws(seed: int, count: int, coin: bool):
     words, never 624."""
     cut = (seed >> 32) + 1 << 32  # the next multiple of 2**32
     if seed + count > cut:
-        parts = _seeded_draws(seed, cut - seed, coin), _seeded_draws(cut, seed + count - cut, coin)
-        if None in parts:
-            return None
-        coins, draws = zip(*parts)
+        coins, draws = zip(_seeded_draws(seed, cut - seed, coin),
+                           _seeded_draws(cut, seed + count - cut, coin))
         return np.concatenate(coins) if coin else None, np.concatenate(draws)
     size = max(1, -(-seed.bit_length() // 32))  # the key's words
-    if size > 624:
-        return None
     lanes = np.arange(seed & 0xFFFFFFFF, (seed & 0xFFFFFFFF) + count, dtype=np.uint32)
     key = [lanes if k % size == 0 else (seed >> 32 * (k % size)) + k % size & 0xFFFFFFFF
            for k in range(624)]  # what step k of the first loop adds
@@ -344,8 +344,7 @@ def _play_trials(sc: AttackScenario, cache, snapshot, protocol, memo, first: int
     ``_seeded_draws``.  Off the tree, a trial reseeds, draws its coin again
     and plays with its draws recorded, and adds their path unless the
     stream moved by more, the path is past ``_MEMO_DEPTH`` or the shard
-    holds ways² leaves: then the value is played from then on.  Past
-    MT19937's 624 key words the block plays every trial from there.
+    holds ways² leaves: then the value is played from then on.
     """
     p = sc.victim_access_probability
     coin_draws = 0.0 < p < 1.0
@@ -356,17 +355,15 @@ def _play_trials(sc: AttackScenario, cache, snapshot, protocol, memo, first: int
     trees, leaves, outcomes = memo
     ids, opening = [], cache.stats()
     # from trial start on, from numpy: activities, and a list of _MEMO_DEPTH residues a trial
-    start = actives = None
+    start = None
     for trial in range(first, stop):
         if start is None and (coin_draws or type(trees.get(p >= 1.0)) is dict):
             start = trial  # the first trial that draws a coin or walks
-            streams = _seeded_draws(sc.seed + trial, stop - trial, coin_draws)
-            if streams is not None:  # else every trial from here on is played
-                coins, draws = streams
-                actives = (coins < p).tolist() if coin_draws else [p >= 1.0] * len(draws)
-                stream = np.remainder(draws, ways, out=draws).tolist()
-        if actives is None:
-            node = trees.get(p >= 1.0, ()) if start is None else None
+            coins, draws = _seeded_draws(sc.seed + trial, stop - trial, coin_draws)
+            actives = (coins < p).tolist() if coin_draws else [p >= 1.0] * len(draws)
+            stream = np.remainder(draws, ways, out=draws).tolist()
+        if start is None:
+            node = trees.get(p >= 1.0, ())
         else:
             node, residues = trees.get(actives[trial - start], ()), iter(stream[trial - start])
             while type(node) is dict:
@@ -692,7 +689,7 @@ def _collusion_lockstep(sc: AttackScenario, cache, snapshot, squeeze_addrs, targ
     in each way of its row.  A group ends with its m lines in its row's m
     cells, so every squeeze leaves the same cell owners; the victim's
     access and the probe then play as ``_access_line`` does, on line
-    codes, one per (domain, tag).
+    codes, one per (domain, block).
 
     It needs the prefix to leave a full cache with no squeezer or victim
     line, squeeze groups of one row of m <= 62 distinct lines (the gone
@@ -719,7 +716,7 @@ def _collusion_lockstep(sc: AttackScenario, cache, snapshot, squeeze_addrs, targ
     for idx, line in snapshot.lines:
         after[idx] = code[line]
     groups = len(squeeze)
-    after[[g.rows[0][0] for g in squeeze]] = code[squeezer, None]
+    after[[g.rows[0] for g in squeeze]] = code[squeezer, None]
     bit = np.array([1 << j for j in range(m)] + [0], np.int64)  # bit[-1]: no group line
     full = (1 << m) - 1
     probe_rows, probe_codes = np.array(probe.cands), [code[k] for k in probe.keys]

@@ -25,11 +25,13 @@ first use, a skewed domain whose slice is not a per-way bijection, which
 no field layout gives.  The physical set reported for flat cell index i
 is i // ways for every kind.
 
-Lines are tagged (domain, tag) and never shared across domains, so a
-hit requires both to match.  A miss fills the lowest-index invalid
-candidate if one exists, otherwise evicts the least recently used
-candidate (LRU) or a uniformly random one drawn from the cache's own
-seeded generator (getrandbits(64) mod ways).
+A cell holds its line as (domain, block), block the address without its
+offset bits, so a resident line's row is block % (num_sets *
+num_instances), with no inverse of the layout.  Lines are never shared
+across domains, so a hit requires both to match.  A miss fills the
+lowest-index invalid candidate if one exists, otherwise evicts the least
+recently used candidate (LRU) or a uniformly random one drawn from the
+cache's own seeded generator (getrandbits(64) mod ways).
 
 State is mutable and single-owner; run concurrent experiments on
 separate instances with separate seeds.  ``flush`` invalidates every
@@ -53,15 +55,11 @@ clock as they are, since both count from the flush.
 
 One batch loop serves trace replay.  ``play`` accesses a stream of
 ``(domain, op, addr)`` records in order through a line index built on
-entry: a dict from ``(domain, block)`` to the cell that holds the line,
-and per occupied cell the key it is indexed by.  Only the occupied
-cells are visited: a warm line is indexed through the one row of its
-domain that holds its cell, which is the cell's set on a conventional
-cache and, on a skewed one, comes from the inverse of the domain's
-slice (its column of the cell's way), with the stacked instance added.
-A hit is one dict lookup; a miss reads its row only for the first free
-way (while the cache has one) or the LRU ages, and a random-replacement
-miss on a full row draws its victim without reading the row.  The
+entry from the occupied cells as they are: a dict from each cell's
+``(domain, block)`` to the cell.  A hit is one dict lookup; a miss
+reads its row only for the first free way (while the cache has one) or
+the LRU ages, and a random-replacement miss on a full row draws its
+victim without reading the row.  The
 loop's hit, first-free-way and victim choices are those of
 ``_access_line`` in the same way order, so cells, stats, LRU stamps,
 clock and random stream end as an ``access`` per record leaves them;
@@ -123,18 +121,20 @@ class CacheSnapshot(NamedTuple):
 class _Group(NamedTuple):
     """A group of one domain's lines, decoded once per cache (``_group``)."""
 
-    #: (row, tag) of each line, for the probe-by-probe loop
+    #: (row, block) of each line, for the probe-by-probe loop
     lines: tuple
     #: whether the row-local kernel plays this group; the fields below
     #: are filled only then
     kernel: bool
-    #: (domain, tag) of each line, and the candidate cells of its row
+    #: (domain, block) of each line, and the candidate cells of its row
     keys: tuple = ()
     cands: tuple = ()
     #: each line's position in ``rows``
     slots: tuple = ()
-    #: each distinct row of the group: (candidate cells, {key: line index})
+    #: the candidate cells of each distinct row of the group
     rows: tuple = ()
+    #: (domain, block) -> line index, over every line of the group
+    line_of: Optional[dict] = None
 
 
 @dataclass(frozen=True)
@@ -251,27 +251,6 @@ class _Rows(dict):
     def __init__(self, ways: int, physical: Optional[np.ndarray] = None):
         super().__init__()
         self.ways, self.physical = ways, physical
-        self._sets: Optional[list] = None  # cell of an instance -> its set
-
-    def row_finder(self, size: int):
-        """A function from a cell of a ``size``-cell cache to the one row
-        whose candidate cells hold it: the cell's set on a conventional
-        cache; on a skewed one, the set that the slice's column of the
-        cell's way maps to the cell's physical set, in the cell's stacked
-        instance."""
-        global _layout_cells
-        ways, physical = self.ways, self.physical
-        if physical is None:
-            return ways.__rfloordiv__
-        if self._sets is None:
-            sets = np.empty_like(physical.T)
-            sets[np.arange(ways), physical] = np.arange(len(physical))[:, None]
-            self._sets = sets.T.ravel().tolist()  # cell p * ways + w -> its set
-            _layout_cells += physical.size
-        sets, cells, m = self._sets, physical.size, len(physical)
-        if size == cells:
-            return sets.__getitem__
-        return lambda idx: idx // cells * m + sets[idx % cells]
 
     def __missing__(self, row: int) -> tuple:
         global _layout_cells
@@ -370,7 +349,9 @@ class _BaseCache:
             raise ValueError("addresses are unsigned")
         block = addr >> self._off
         span = self._span
-        hit, idx, way, victim = self._access_line(domain, block % span, block // span)
+        hit, idx, way, victim = self._access_line(domain, block % span, block)
+        if victim is not None:
+            victim = (victim[0], victim[1] // span)
         return AccessOutcome(hit, idx // self._ways, way, victim)
 
     def probe_one(self, domain: int, addr: int) -> bool:
@@ -378,8 +359,7 @@ class _BaseCache:
         if addr < 0:
             raise ValueError("addresses are unsigned")
         block = addr >> self._off
-        span = self._span
-        return self._access_line(domain, block % span, block // span)[0]
+        return self._access_line(domain, block % self._span, block)[0]
 
     def observe_probe(self, domain: int, addrs) -> list[ProbeObservation]:
         """Probe addresses in order.  Probes are real accesses and mutate
@@ -404,20 +384,21 @@ class _BaseCache:
             return self._play_group(domain, group, stop_at_miss=stop_at_miss)
         access = self._access_line
         hits = []
-        for row, tag in group.lines:
-            hits.append(access(domain, row, tag)[0])
+        for row, block in group.lines:
+            hits.append(access(domain, row, block)[0])
             if stop_at_miss and not hits[-1]:
                 break
         return hits
 
-    def _access_line(self, domain: int, row: int, tag: int):
-        """Core lookup: returns (hit, flat cell index, way, evicted line)."""
+    def _access_line(self, domain: int, row: int, block: int):
+        """Core lookup of the line ``block`` in its ``row``: returns (hit,
+        flat cell index, way, evicted line)."""
         cand = (self._rows.get(domain) or self._rows_of(domain))[row]
         stats = self._stats.get(domain)
         if stats is None:
             stats = self._stats[domain] = [0, 0, 0, 0]
         cells = self._cells
-        key = (domain, tag)
+        key = (domain, block)
         # stats slots _HITS.._SELF_EVICTIONS as literals 0..3: this is the hot loop
         first_invalid = -1
         for w, idx in enumerate(cand):
@@ -455,17 +436,17 @@ class _BaseCache:
         """Access each ``(domain, op, addr)`` record in order; returns the
         per-domain R/W counts (any op but ``"R"`` counts as a write).
 
-        The batch loop ``trace.replay`` runs, through the line index
-        (``_line_index``): equal to an ``access`` of each record, which
-        stays its oracle.  Records are consumed lazily; a bad record
-        raises the ``ValueError`` of ``access`` with the records before
-        it played.
+        The batch loop ``trace.replay`` runs, through an index of the
+        occupied cells by the ``(domain, block)`` each holds: equal to an
+        ``access`` of each record, which stays its oracle.  Records are
+        consumed lazily; a bad record raises the ``ValueError`` of
+        ``access`` with the records before it played.
         """
         cells = self._cells
         stamps, lru = self._stamps, self._lru
         age = stamps.__getitem__ if lru else None
         draw, ways, off, span = self.rng.getrandbits, self._ways, self._off, self._span
-        where, held = self._line_index()
+        where = {cells[i]: i for i in compress(range(len(cells)), cells)}
         free = cells.count(None)
         ops: dict[int, list[int]] = {}  # domain -> its R/W counts
         seen: dict[int, tuple] = {}  # domain -> its row table, stats and R/W counts
@@ -503,35 +484,15 @@ class _BaseCache:
                     idx = min(cand, key=age) if lru else cand[draw(64) % ways]
                     victim = cells[idx]
                     stats[3 if victim[0] == domain else 2] += 1
-                    del where[held[idx]]
-                cells[idx] = (domain, block // span)
+                    del where[victim]
+                cells[idx] = key
                 where[key] = idx
-                held[idx] = key
                 if lru:
                     clock += 1
                     stamps[idx] = clock
         finally:
             self._clock = clock
         return {d: {"reads": counts[0], "writes": counts[1]} for d, counts in ops.items()}
-
-    def _line_index(self) -> tuple[dict, list]:
-        """``play``'s index of the resident lines: ``(domain, block)`` ->
-        cell, and per occupied cell the key it is indexed by.  A line's
-        block is its tag and the row of its domain holding its cell
-        (``_Rows.row_finder``); only the occupied cells are visited."""
-        cells, span = self._cells, self._span
-        where: dict[tuple, int] = {}
-        held: list[Optional[tuple]] = [None] * len(cells)
-        finders: dict = {}  # domain -> its row finder
-        for idx in compress(range(len(cells)), cells):
-            d, tag = cells[idx]
-            try:
-                row_of = finders[d]
-            except KeyError:
-                row_of = finders[d] = self._rows_of(d).row_finder(len(cells))
-            key = held[idx] = (d, tag * span + row_of(idx))
-            where[key] = idx
-        return where, held
 
     def fill_group(self, domain: int, addrs, max_rounds: int = 4096) -> int:
         """Access each address once, then probe the group in passes until
@@ -546,10 +507,10 @@ class _BaseCache:
         if group.kernel:
             return self._play_group(domain, group, max_rounds)
         access = self._access_line
-        for row, tag in group.lines:
-            access(domain, row, tag)
+        for row, block in group.lines:
+            access(domain, row, block)
         for passes in range(1, max_rounds + 1):
-            if all(access(domain, row, tag)[0] for row, tag in group.lines):
+            if all(access(domain, row, block)[0] for row, block in group.lines):
                 return passes
         raise RuntimeError(f"set not resident after {max_rounds} probe passes")
 
@@ -572,24 +533,16 @@ class _BaseCache:
             if a < 0:
                 raise ValueError("addresses are unsigned")
             block = a >> off
-            lines.append((block % span, block // span))
+            lines.append((block % span, block))
         lines = tuple(lines)
         if not lines or self._lru or len(set(lines)) < len(lines):
             return _Group(lines, False)
-        slot_of: dict[int, int] = {}
-        rows, keys, cands, slots = [], [], [], []
-        for j, (row, tag) in enumerate(lines):
-            cand = rows_of[row]
-            if row not in slot_of:
-                slot_of[row] = len(rows)
-                rows.append((cand, {}))
-            key = (domain, tag)
-            # keyed per row: a same-tag line of another row is another line
-            rows[slot_of[row]][1][key] = j
-            keys.append(key)
-            cands.append(cand)
-            slots.append(slot_of[row])
-        return _Group(lines, True, tuple(keys), tuple(cands), tuple(slots), tuple(rows))
+        slot_of = {row: k for k, row in enumerate(dict.fromkeys(row for row, _ in lines))}
+        keys = tuple((domain, block) for _, block in lines)
+        return _Group(lines, True, keys, tuple(rows_of[row] for row, _ in lines),
+                      tuple(slot_of[row] for row, _ in lines),
+                      tuple(rows_of[row] for row in slot_of),
+                      {key: j for j, key in enumerate(keys)})
 
     def _play_group(self, domain: int, group: _Group, max_rounds: Optional[int] = None,
                     stop_at_miss: bool = False):
@@ -611,12 +564,12 @@ class _BaseCache:
         stats = self._stats.get(domain)
         if stats is None:
             stats = self._stats[domain] = [0, 0, 0, 0]
-        keys, cands, slots = group.keys, group.cands, group.slots
+        keys, cands, slots, line_of = group.keys, group.cands, group.slots, group.line_of
         n = len(keys)
         gone = (1 << n) - 1  # bit j: line j is not resident
         owner = {}  # cell index -> the group line it holds
         frees = []  # per row, its free cells, lowest way last
-        for cand, line_of in group.rows:
+        for cand in group.rows:
             free = []
             for idx in reversed(cand):
                 cell = cells[idx]

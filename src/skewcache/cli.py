@@ -136,12 +136,26 @@ def _flag_kwargs(kind) -> dict:
     return {"type": _int_literal if kind is int else kind}
 
 
+class _LongInt(str):
+    """A config file's integer past the decimal digit limit, as its text."""
+
+
+def _json_int(text: str):
+    try:
+        return int(text)
+    except ValueError:  # the digit limit, checked before any conversion
+        return _LongInt(text)
+
+
 def _checked(opt: Option, value):
     """A config-file value, after checking it against the option's type."""
     if value is None and None in opt.defaults.values():
         return None
     if opt.type is float and type(value) is int:
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValueError(f"config key {opt.name!r} is past a float's range") from None
     if isinstance(opt.type, tuple):
         if value in opt.type:
             return value
@@ -163,19 +177,21 @@ def _resolve(args) -> dict:
     file_cfg = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+            file_cfg = json.load(fh, parse_int=_json_int)
         if not isinstance(file_cfg, dict):
             raise ValueError("config file must hold a JSON object")
+    digits = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    too_long = 10 ** digits if digits else float("inf")  # as str() refuses it
     for key, value in file_cfg.items():
         if key not in options:
             raise ValueError(f"config key {key!r} is not an option of {command}")
+        if type(value) is _LongInt:
+            raise ValueError(f"config key {key!r} has more than {digits} decimal digits")
         file_cfg[key] = _checked(options[key], value)
     given = {**file_cfg, **{k: cfg[k] for k in options if cfg[k] is not None}}
     kind = cfg.get("which") or given.get("kind", _run_defaults(command, None).get("kind"))
     reads = _run_defaults(command, kind)
     run = f"{command} {kind}" if kind else command
-    digits = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
-    too_long = 10 ** digits if digits else float("inf")  # as str() refuses it
     for name, value in given.items():
         source = f"--{name.replace('_', '-')}" if cfg[name] is not None else f"config key {name!r}"
         if name not in reads:

@@ -135,7 +135,7 @@ def is_identity(matrix) -> bool:
 
 
 def line_at(cache, physical_set: int, way: int):
-    """The (domain, tag) line in a cell of a square cache, or None."""
+    """The (domain, block) line in a cell of a square cache, or None."""
     return cache._cells[physical_set * cache.cfg.num_ways + way]
 
 

@@ -635,9 +635,7 @@ class TestSeededDraws:
     @example(seed=2**64, count=2, coin=False, ways=8)
     def test_seeded_draws_match_random_oracle(self, seed, count, coin, ways):
         """Each trial's coin and first 64-bit draws, and their residues,
-        are ``Random(seed + k)``'s, across each multiple of 2^32; a seed
-        past MT19937's 624 key words is declined."""
-        assert attacks._seeded_draws(1 << 19968, 1, coin) is None
+        are ``Random(seed + k)``'s, across each multiple of 2^32."""
         coins, draws = attacks._seeded_draws(seed, count, coin)
         assert draws.shape == (count, attacks._MEMO_DEPTH)
         assert (coins is None) != coin
@@ -681,16 +679,18 @@ class TestTrialMemo:
             assert restores() == reseeds() == _played(sc, count)
         no_child_left()
 
-    def test_seed_past_the_mt19937_key_plays_every_trial(self, monkeypatch, tmp_path):
-        """A seed of more than 624 key words has no numpy streams: from its
-        first coin, the block plays every trial, as its oracle does."""
+    @pytest.mark.parametrize("seed", [1 << 19968, (1 << 19968) - 2], ids=["first", "last"])
+    def test_trial_seed_past_the_mt19937_key_refused(self, monkeypatch, seed):
+        """A trial seed of more than 624 key words, the first trial's or
+        only the last's, is refused, since numpy seeds every trial that
+        walks; the trials up to 2^19968 - 1 play as their oracle does."""
+        with pytest.raises(ValueError, match=r"^trial seeds must be below 2\^19968"):
+            default_scenario("galois_pp", galois_config(SP4), 3, seed, 0.5)
         sc = dataclasses.replace(
-            default_scenario("galois_pp", galois_config(SP4), 3, 1 << 19968, 0.5),
+            default_scenario("galois_pp", galois_config(SP4), 2, (1 << 19968) - 2, 0.5),
             record_trials=True)
         monkeypatch.setattr(shards, "_shard_count", lambda work, min_work: 1)
-        restores = _counting(monkeypatch, tmp_path, "restore")
         memo = _outcome(run_scenario(sc))
-        assert restores() == sc.trials
         monkeypatch.setattr(attacks, "_play_trials", play_every_trial)
         assert memo == _outcome(run_scenario(sc))
 

@@ -466,8 +466,8 @@ def _start_pair(case):
 # (GF(4) full of domain 1, seed 0: line (0, 1)'s refill evicts (0, 2)).
 EVICTED_BEFORE_ITS_TURN = (GF4_CFG, 0, True, [],
                            [(0, [(0, 0), (0, 1), (0, 2)], [(0, 2)])])
-# Line (1, 5) shares its key (domain, tag) with the resident line
-# (0, 5) of another row of the group; it is not resident.
+# Line (1, 5) shares its tag with the resident line (0, 5) of another
+# row of the group, but not its cell's (domain, block); it is not resident.
 SAME_TAG_OTHER_ROW = (GF4_CFG, 0, False, [], [(2, [(0, 5), (1, 5)], [(0, 5)])])
 
 # Probes that stop at the first miss, on GF(4) (domain 0 probes row 1):
@@ -746,6 +746,75 @@ class TestReplay:
                    for row in player.stats().values()) > 0
 
 
+# galois, stacked k=1, and conventional caches under both replacements
+CELL_CONFIGS = [
+    GF4_CFG,
+    stacked_config(SkewParams(FieldSpec.prime(3)), stack_bits=1),
+    conventional_config(4, 4, "lru"),
+    conventional_config(4, 4, "random"),
+]
+CELL_STEPS = ("access", "probe_group", "stop_at_miss", "fill_group", "play",
+              "snapshot", "restore")
+
+
+@st.composite
+def cell_cases(draw):
+    """A cache config, a seed and steps over a few rows and tags: each
+    step a method and lines ``(domain, row, tag, offset)``; a group step
+    plays its lines as the first line's domain's."""
+    cfg = draw(st.sampled_from(CELL_CONFIGS))
+    line = st.tuples(st.integers(0, min(cfg.num_domains or 4, 4) - 1),
+                     st.integers(0, cfg.num_sets * cfg.num_instances - 1),
+                     st.integers(0, cfg.num_ways + 2),
+                     st.integers(0, (1 << cfg.line_offset_bits) - 1))
+    steps = draw(st.lists(st.tuples(st.sampled_from(CELL_STEPS),
+                                    st.lists(line, min_size=1, max_size=2 * cfg.num_ways)),
+                          max_size=12))
+    return cfg, draw(st.integers(0, 2**32 - 1)), steps
+
+
+class TestCells:
+    @ORACLE_SETTINGS
+    @given(case=cell_cases())
+    def test_cells_hold_lines_of_their_rows_oracle(self, case):
+        """After any mix of ``access``, the group kernels, ``play`` and
+        ``restore``, every occupied cell holds a ``(domain, block)`` whose
+        row, block % span in the domain's row table, lists that cell:
+        what lets ``play`` index the cells as they are.  An ``access``
+        still reports its victim as ``(domain, tag)``."""
+        cfg, seed, steps = case
+        span = cfg.num_sets * cfg.num_instances
+        cache = build_cache(cfg, seed)
+        snap = cache.snapshot()
+        for method, lines in steps:
+            addrs = [_addr(cfg, r, t) | offset for _, r, t, offset in lines]
+            domain = lines[0][0]
+            if method == "access":
+                for (d, *_), a in zip(lines, addrs):
+                    before = list(cache._cells)
+                    out = cache.access(d, a)
+                    if out.victim_line is not None:
+                        victim = before[out.physical_set * cfg.num_ways + out.way]
+                        assert out.victim_line == (victim[0], victim[1] // span)
+            elif method == "fill_group":
+                try:
+                    cache.fill_group(domain, addrs, 8)
+                except RuntimeError:  # more distinct lines than ways in a row
+                    pass
+            elif method in ("probe_group", "stop_at_miss"):
+                cache.probe_group(domain, addrs, stop_at_miss=method == "stop_at_miss")
+            elif method == "play":
+                cache.play([(d, "RW"[t % 2], a) for (d, _, t, _), a in zip(lines, addrs)])
+            elif method == "snapshot":
+                snap = cache.snapshot()
+            else:
+                cache.restore(snap)
+            for idx, line in enumerate(cache._cells):
+                if line is not None:
+                    d, block = line
+                    assert idx in cache._rows_of(d)[block % span]
+
+
 class _PlusThreeCollapses(BrokenModularRing):
     """The mod-4 ring with x + 3 = 3 for every x: a domain's way w is not
     a bijection where (b*t)*w is 3, so with b=1 domains 1 and 3 are
@@ -805,10 +874,9 @@ class TestRefusal:
             # a refused slice is neither kept nor counted
             kept = {key[2] for key in cache_module._LAYOUTS if key[1] == cfg.num_instances}
             assert kept == set(range(m)) - broken
-        # each kept slice, the rows laid out and the row finders built
+        # each kept slice and the rows laid out
         assert cache_module._layout_cells == sum(
-            m * m * (1 + (rows._sets is not None)) + m * len(rows)
-            for rows in cache_module._LAYOUTS.values())
+            m * m + m * len(rows) for rows in cache_module._LAYOUTS.values())
 
     @pytest.mark.parametrize("cfg", [galois_config(_MIXED), stacked_config(_MIXED, stack_bits=1)],
                              ids=["galois", "stacked"])
@@ -931,9 +999,6 @@ class TestSharedRows:
                                         for w in range(ways))
             assert sorted(rows) == sorted(set(reads))
             assert cache_module._layout_cells == slices + ways * len(set(reads))
-            # and back: each cell of a row read is found in that row
-            row_of = rows.row_finder(sets * ways * cfg.num_instances)
-            assert all(row_of(idx) == r for r in reads for idx in rows[r])
 
     def test_rows_laid_out_on_first_touch(self, monkeypatch):
         monkeypatch.setattr(cache_module, "_LAYOUTS", {})
@@ -950,8 +1015,8 @@ class TestSharedRows:
 
     def test_play_indexes_only_the_occupied_cells(self, monkeypatch):
         """A play on a cache that holds one line lays out only the rows
-        its records read: the line index finds the resident line's row
-        from its cell, not by walking the domain's rows."""
+        its records read: the line index takes the resident line's
+        (domain, block) from its cell, not by walking the domain's rows."""
         monkeypatch.setattr(cache_module, "_LAYOUTS", {})
         monkeypatch.setattr(cache_module, "_layout_cells", 0)
         cfg = conventional_config(1 << 21, 8, "random")

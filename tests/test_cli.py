@@ -555,11 +555,19 @@ FUZZ_VALUES = {
 # 2^14300, 4,305 decimal digits: a flag's hex text past Python's default
 # limit of 4,300 digits for int-to-decimal conversion (JSON cannot hold it)
 PAST_DIGIT_LIMIT = "0x1" + "0" * 3575
+# 10^4300 and -10^4300, 4,301 decimal digits, as a config file's JSON
+# text, which json.dumps cannot write: the fuzz writes a placeholder
+# and puts each in its place
+PAST_DIGIT_LIMIT_JSON = {"{past}": "1" + "0" * 4300, "{-past}": "-1" + "0" * 4300}
+# a float past a float's range: 10^400 as a config file's integer
+PAST_FLOAT_JSON = {"{10^400}": "1" + "0" * 400}
 # values of the wrong type, and the integer past the digit limit, as a
-# flag's text; values of the wrong type as a config value
+# flag's text; as a config value, values of the wrong type, and
+# integers past the digit limit or a float's range
 _WRONG_FLAG = {int: ["x", "1.5", "0x", PAST_DIGIT_LIMIT], float: ["x", "0.5.0"],
                bool: ["yes"]}
-_WRONG_CONFIG = {int: ["3", 1.5, True, [1]], float: ["0.5", True], str: [5, True],
+_WRONG_CONFIG = {int: ["3", 1.5, True, [1], *PAST_DIGIT_LIMIT_JSON],
+                 float: ["0.5", True, "{past}", *PAST_FLOAT_JSON], str: [5, True],
                  bool: ["yes", 1]}
 # the work a run does once its input is checked
 WORK = ("run_scenario", "sweep_detection_vs_field", "verify_diagonalization",
@@ -609,13 +617,27 @@ def cli_runs(draw):
     return run, flags, file_cfg
 
 
-def _must_refuse(run, resolved) -> bool:
+def _config_text(file_cfg) -> str:
+    """The config file: the text drawn, or the object as JSON with each
+    placeholder of a long integer in its place."""
+    if isinstance(file_cfg, str):
+        return file_cfg
+    text = json.dumps(file_cfg)
+    for mark, digits in {**PAST_DIGIT_LIMIT_JSON, **PAST_FLOAT_JSON}.items():
+        text = text.replace(json.dumps(mark), digits)
+    return text
+
+
+def _must_refuse(run, resolved, file_cfg) -> bool:
     """Whether the run is given a value it must refuse: an option it does
-    not read; an integer past the digit limit; a negative modulus, or a
-    nonzero one for a prime field; a negative seed."""
+    not read; an integer past the digit limit, as a flag or in the config
+    file, even where a flag overrides it; a negative modulus, or a nonzero
+    one for a prime field; a negative seed."""
     if set(resolved) - set(cli._run_defaults(*_run_of(run))):
         return True
     if PAST_DIGIT_LIMIT in resolved.values():
+        return True
+    if isinstance(file_cfg, dict) and set(PAST_DIGIT_LIMIT_JSON) & set(map(str, file_cfg.values())):
         return True
     modulus, n, seed = (resolved.get(k) for k in ("modulus", "n", "seed"))
     if type(modulus) is int and (modulus < 0 or (n == 1 and modulus)):
@@ -643,6 +665,9 @@ def _run_main(argv):
 @example(case=(FUZZ_RUNS[2], {}, {"seed": -7}))
 @example(case=(("attack", "galois-pp"), {"trials": 0, "sets": 5}, {"n_min": 9}))
 @example(case=(("attack", "collusion"), {"trials": 20, "seed": PAST_DIGIT_LIMIT}, {}))
+@example(case=(("attack", "galois-pp"), {"trials": 5}, {"seed": "{past}"}))
+@example(case=(("attack", "galois-pp"), {"trials": 5, "seed": 1}, {"seed": "{-past}"}))
+@example(case=(("attack", "galois-pp"), {"trials": 5}, {"victim_prob": "{10^400}"}))
 def test_exit_code_fuzz(case):
     """Every run exits 0 or 2, without a traceback; an exit 2 writes
     nothing to stdout and ends stderr with an ``error:`` line.  A run
@@ -663,8 +688,8 @@ def test_exit_code_fuzz(case):
             if not isinstance(value, bool):
                 argv.append(place(value) if isinstance(value, str) else str(value))
         config = Path(tmp, "cfg.json")
-        config.write_text(file_cfg if isinstance(file_cfg, str) else
-                          json.dumps({k: place(v) for k, v in file_cfg.items()}))
+        config.write_text(_config_text(file_cfg if isinstance(file_cfg, str) else
+                                       {k: place(v) for k, v in file_cfg.items()}))
         with contextlib.ExitStack() as stack:
             work = [stack.enter_context(mock.patch.object(cli, name, wraps=getattr(cli, name)))
                     for name in WORK]
@@ -675,7 +700,7 @@ def test_exit_code_fuzz(case):
         assert out == ""
         assert "error:" in err.splitlines()[-1]
     resolved = {**(file_cfg if isinstance(file_cfg, dict) else {}), **flags}
-    if _must_refuse(run, resolved):
+    if _must_refuse(run, resolved, file_cfg):
         assert code == 2, (code, err)
         assert [name for name, spy in zip(WORK, work) if spy.called] == [], err
 
@@ -733,6 +758,21 @@ def test_integer_past_the_digit_limit_refused_first(tmp_path, monkeypatch, capsy
                              "--seed", PAST_DIGIT_LIMIT, "--output", str(report))
     assert (code, out) == (2, "")
     assert err == "error: --seed has more than 4300 decimal digits\n"
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("mark", PAST_DIGIT_LIMIT_JSON)
+def test_config_integer_past_the_digit_limit_refused_first(tmp_path, monkeypatch, capsys, mark):
+    """A config file's integer of 4,301 decimal digits, either sign, is
+    refused naming its key, before any work, as the flag is."""
+    for work in WORK:
+        monkeypatch.setattr(cli, work, _refuse)
+    config, report = tmp_path / "cfg.json", tmp_path / "report.json"
+    config.write_text(_config_text({"seed": mark}))
+    code, out, err = run_cli(capsys, "attack", "galois-pp", "--trials", "5",
+                             "--config", str(config), "--output", str(report))
+    assert (code, out) == (2, "")
+    assert err == "error: config key 'seed' has more than 4300 decimal digits\n"
     assert not report.exists()
 
 

@@ -74,6 +74,11 @@ CASES = {
     # (2^14), so every shard plays several blocks through one trial memo
     "attack_galois_pp_n4_70k.json":
         "attack galois-pp --n 4 --trials 70000 --victim-prob 0.5 --seed 0",
+    # the default victim probability, 1: LRU draws nothing, so no trial walks
+    "attack_baseline_pp_p1.json": "attack baseline-pp --trials 4000 --seed 3",
+    # the default victim probability, 1: the victim's eviction draws walk
+    # every trial, so numpy seeds them from trial 1 on
+    "attack_galois_pp_n3_p1.json": "attack galois-pp --n 3 --trials 4000 --seed 3",
 }
 # golden report file: golden trial log written by the same run
 TRIAL_LOGS = {
